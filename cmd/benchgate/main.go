@@ -37,12 +37,9 @@ type benchBaseline struct {
 // reference when the runner has 2+ processors to parallelise across.
 // On a single processor parallel execution cannot beat sequential —
 // the gate degrades to SingleProcFloor, a no-pathological-regression
-// bound on the same ratio. Two instances are gated: the lockstep
-// replica engine (one op = one replica-cycle; overhead is lockstep
-// sync plus the cache footprint of N replica stacks on one core) and
-// the intra-replica parallel tick (one op = one cycle; overhead is
-// the scratch-record/commit-replay bookkeeping and the fork/join
-// barriers).
+// bound on the same ratio. The lockstep replica engine is gated this
+// way (one op = one replica-cycle; overhead is lockstep sync plus the
+// cache footprint of N replica stacks on one core).
 type speedupGate struct {
 	Benchmark           string  `json:"benchmark"`
 	Reference           string  `json:"reference"`
@@ -52,9 +49,8 @@ type speedupGate struct {
 
 // baselineFile is the subset of BENCH_kernel.json the gate reads.
 type baselineFile struct {
-	After            map[string]benchBaseline `json:"after"`
-	ReplicatedGate   *speedupGate             `json:"replicated_gate"`
-	ParallelTickGate *speedupGate             `json:"parallel_tick_gate"`
+	After          map[string]benchBaseline `json:"after"`
+	ReplicatedGate *speedupGate             `json:"replicated_gate"`
 }
 
 // sample is one parsed benchmark result line.
@@ -136,36 +132,32 @@ func realMain() int {
 				name, s.allocsPerOp, b.AllocsPerCycle, allocLimit, status)
 		}
 	}
-	for _, g := range []*speedupGate{base.ReplicatedGate, base.ParallelTickGate} {
-		if g == nil {
-			continue
-		}
-		gated, haveGated := results[g.Benchmark]
+	if g := base.ReplicatedGate; g != nil {
+		repl, haveRepl := results[g.Benchmark]
 		ref, haveRef := results[g.Reference]
-		if !haveGated || !haveRef {
-			continue
+		if haveRepl && haveRef {
+			checked++
+			r, s := mean(ref), mean(repl)
+			// One replicated op is one replica-cycle, so the sequential
+			// reference's ns/op over the replicated ns/op is the aggregate
+			// cycles·replicas/sec speedup directly.
+			speedup := r.nsPerOp / s.nsPerOp
+			required := g.MinAggregateSpeedup
+			kind := "aggregate speedup"
+			if s.procs < 2 {
+				// A single-core runner cannot parallelise the replicas; hold
+				// the floor instead of the speedup target.
+				required = g.SingleProcFloor
+				kind = "single-proc floor"
+			}
+			status := "ok"
+			if speedup < required {
+				status = "FAIL"
+				failed++
+			}
+			fmt.Printf("%-24s %.2fx vs %s (procs=%d, %s >= %.2fx)  %s\n",
+				g.Benchmark, speedup, g.Reference, s.procs, kind, required, status)
 		}
-		checked++
-		r, s := mean(ref), mean(gated)
-		// Both sides count ns per (replica-)cycle, so the sequential
-		// reference's ns/op over the gated ns/op is the aggregate
-		// cycles/sec speedup directly.
-		speedup := r.nsPerOp / s.nsPerOp
-		required := g.MinAggregateSpeedup
-		kind := "aggregate speedup"
-		if s.procs < 2 {
-			// A single-core runner cannot parallelise anything; hold
-			// the floor instead of the speedup target.
-			required = g.SingleProcFloor
-			kind = "single-proc floor"
-		}
-		status := "ok"
-		if speedup < required {
-			status = "FAIL"
-			failed++
-		}
-		fmt.Printf("%-24s %.2fx vs %s (procs=%d, %s >= %.2fx)  %s\n",
-			g.Benchmark, speedup, g.Reference, s.procs, kind, required, status)
 	}
 	if checked == 0 {
 		return fail(fmt.Errorf("no gated benchmark appeared in the input — is the bench step wired correctly?"))

@@ -117,6 +117,8 @@ const (
 	PolicyFCFS BandwidthPolicy = iota
 	// PolicyDynamic runs Algorithm 1 steps 0-5 every cycle (PEARL-Dyn).
 	PolicyDynamic
+
+	numBandwidthPolicies // sentinel: one past the last declared policy
 )
 
 func (p BandwidthPolicy) String() string {
@@ -157,6 +159,8 @@ const (
 	// PowerRL is the tabular Q-learning extension choosing states from
 	// discretised congestion observations.
 	PowerRL
+
+	numPowerPolicies // sentinel: one past the last declared policy
 )
 
 func (p PowerPolicy) String() string {
@@ -377,6 +381,12 @@ var ValidWavelengths = []int{64, 48, 32, 16, 8}
 
 // Validate reports the first problem with the configuration, or nil.
 func (c Config) Validate() error {
+	if c.Bandwidth < 0 || c.Bandwidth >= numBandwidthPolicies {
+		return fmt.Errorf("config: bandwidth policy %d not one of FCFS (0), Dynamic (1)", int(c.Bandwidth))
+	}
+	if c.Power < 0 || c.Power >= numPowerPolicies {
+		return fmt.Errorf("config: power policy %d outside the declared range 0..%d", int(c.Power), int(numPowerPolicies-1))
+	}
 	okWL := false
 	for _, wl := range ValidWavelengths {
 		if c.StaticWavelengths == wl {

@@ -113,6 +113,40 @@ func TestValidateRejectsBadBounds(t *testing.T) {
 	}
 }
 
+// TestValidateEnumRanges pins the closed lists: every declared bandwidth
+// and power policy validates, and any other value is rejected rather than
+// silently run as some declared one.
+func TestValidateEnumRanges(t *testing.T) {
+	cases := []struct {
+		name string
+		mut  func(*Config)
+		ok   bool
+	}{
+		{"bandwidth FCFS", func(c *Config) { c.Bandwidth = PolicyFCFS }, true},
+		{"bandwidth Dynamic", func(c *Config) { c.Bandwidth = PolicyDynamic }, true},
+		{"bandwidth 2", func(c *Config) { c.Bandwidth = 2 }, false},
+		{"bandwidth 99", func(c *Config) { c.Bandwidth = 99 }, false},
+		{"bandwidth -5", func(c *Config) { c.Bandwidth = -5 }, false},
+		{"power Static", func(c *Config) { c.Power = PowerStatic }, true},
+		{"power Reactive", func(c *Config) { c.Power = PowerReactive }, true},
+		{"power ML", func(c *Config) { c.Power = PowerML }, true},
+		{"power Proteus", func(c *Config) { c.Power = PowerProteus }, true},
+		{"power D3NOC", func(c *Config) { c.Power = PowerD3NOC }, true},
+		{"power Online", func(c *Config) { c.Power = PowerOnline }, true},
+		{"power RL", func(c *Config) { c.Power = PowerRL }, true},
+		{"power one past RL", func(c *Config) { c.Power = PowerRL + 1 }, false},
+		{"power 99", func(c *Config) { c.Power = 99 }, false},
+		{"power -1", func(c *Config) { c.Power = -1 }, false},
+	}
+	for _, tc := range cases {
+		c := Default()
+		tc.mut(&c)
+		if err := c.Validate(); (err == nil) != tc.ok {
+			t.Errorf("%s: Validate() = %v, want ok=%v", tc.name, err, tc.ok)
+		}
+	}
+}
+
 func TestTurnOnCycles(t *testing.T) {
 	cases := []struct {
 		ns   float64

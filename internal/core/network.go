@@ -41,14 +41,6 @@ type Network struct {
 	windowHook func(routerID int, feats []float64, injected int64, betaTotal float64, next photonic.WLState)
 
 	measuring bool
-
-	// pool, tickTask, tickCycle and scratch drive the deterministic
-	// parallel tick (see parallel.go); pool == nil selects the
-	// sequential kernel.
-	pool      *sim.TickPool
-	tickTask  func(worker, workers int)
-	tickCycle int64
-	scratch   [config.NumRouters]tickScratch
 }
 
 // New validates the configuration and builds the network. Register the
@@ -158,14 +150,8 @@ func (n *Network) Inject(p *noc.Packet) bool {
 }
 
 // Tick advances every router one cycle in index order, then global
-// accounting. With a tick pool attached the router-local phase fans out
-// across the pool's workers; results are byte-identical either way (see
-// parallel.go).
+// accounting.
 func (n *Network) Tick(cycle int64) {
-	if n.pool != nil {
-		n.tickParallel(cycle)
-		return
-	}
 	for _, r := range n.routers {
 		r.tick(cycle)
 	}

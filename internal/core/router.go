@@ -143,15 +143,6 @@ func (r *Router) inject(p *noc.Packet, cycle int64) bool {
 
 // tick advances the router one cycle.
 func (r *Router) tick(cycle int64) {
-	r.tickMain(cycle)
-	r.observe(cycle)
-}
-
-// tickMain is the state-mutating half of a tick — everything except the
-// end-of-cycle observation. The parallel kernel runs it whole for
-// routers at a window boundary and replays its pieces for the rest; the
-// sequential kernel always runs tick = tickMain + observe.
-func (r *Router) tickMain(cycle int64) {
 	if cycle == r.nextWindowEnd {
 		r.windowBoundary(cycle)
 	}
@@ -159,6 +150,7 @@ func (r *Router) tickMain(cycle int64) {
 	r.allocateBandwidth()
 	r.progressTransmissions(cycle)
 	r.startTransmissions(cycle)
+	r.observe(cycle)
 }
 
 // progressTransmissions advances every in-flight packet by its class's

@@ -54,15 +54,6 @@ type Options struct {
 	// on this. Same discipline as OnWindow: simulation goroutine, must
 	// not block, nil keeps the run byte-identical.
 	OnWindowSample func(routerID int, feats []float64, injected int64)
-	// TickWorkers sets the intra-replica parallel tick's worker count on
-	// PEARL runs. 0 or 1 selects the sequential kernel (today's exact
-	// code path); higher counts fan the router-local phases of each
-	// cycle across a persistent pool, byte-identical to sequential at
-	// any count (capped at the router count — more workers than routers
-	// cannot help). CMESH runs and multi-seed lockstep replication
-	// ignore it: replicas already occupy the cores, and stacking pools
-	// on top would oversubscribe (see NewPEARLLockstep).
-	TickWorkers int
 }
 
 // Full returns the paper-faithful option set: all 16 test pairs, all 36
@@ -149,17 +140,6 @@ type replica struct {
 	startMeasure func()
 	stopMeasure  func(measured int64)
 	finalize     func() Result
-	// close releases the replica's tick pool, if it runs one. Nil for
-	// sequential replicas; callers may always call it via closeReplica.
-	close func()
-}
-
-// closeReplica releases replica resources (tick-pool helpers). Safe on
-// a zero replica.
-func closeReplica(r replica) {
-	if r.close != nil {
-		r.close()
-	}
 }
 
 // buildPEARLReplica constructs one photonic simulation stack. opts.Seed
@@ -213,23 +193,8 @@ func buildPEARLReplica(cfg config.Config, pair traffic.Pair, opts Options, ctrl 
 		// After the network: the sampler reads each cycle's settled state.
 		engine.Register(sampler)
 	}
-	var pool *sim.TickPool
-	if workers := opts.TickWorkers; workers > 1 {
-		if workers > config.NumRouters {
-			workers = config.NumRouters
-		}
-		// Built last — nothing below can fail, so the pool's helper
-		// goroutines cannot leak on an error path. One pool serves both
-		// parallel phases of a cycle (workload demand, router tick).
-		pool = sim.NewTickPool(workers)
-		net.SetTickPool(pool)
-		w.SetTickPool(pool)
-	}
 	return replica{
 		engine: engine,
-		close: func() {
-			pool.Close() // nil-safe: sequential replicas carry no pool
-		},
 		startMeasure: func() {
 			net.StartMeasurement()
 			w.StartMeasurement()
@@ -280,7 +245,6 @@ func RunPEARLCtx(ctx context.Context, cfg config.Config, pair traffic.Pair, opts
 
 // runReplica drives one built stack through warmup and measurement.
 func runReplica(ctx context.Context, r replica, opts Options) (Result, error) {
-	defer closeReplica(r)
 	if err := runCycles(ctx, r.engine, opts.WarmupCycles); err != nil {
 		return Result{}, err
 	}

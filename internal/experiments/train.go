@@ -19,9 +19,19 @@ import (
 // window, chosen over utilisation metrics to decouple the label from the
 // current wavelength state).
 func CollectDataset(pairs []traffic.Pair, window int, opts Options, policy core.StatePolicy) (*mlkit.Dataset, error) {
+	// A random policy's RNG is forked once per pair, in pair order,
+	// before any worker starts: one shared generator would be a data race
+	// and would make the dataset depend on goroutine scheduling.
+	policies := make([]core.StatePolicy, len(pairs))
+	for i := range policies {
+		policies[i] = policy
+		if rp, ok := policy.(core.RandomPolicy); ok {
+			policies[i] = core.RandomPolicy{RNG: rp.RNG.Fork()}
+		}
+	}
 	parts, err := parallelMap(len(pairs), func(i int) (*mlkit.Dataset, error) {
 		part := mlkit.NewDataset(core.FeatureCount)
-		if err := collectOne(part, pairs[i], window, opts, policy, opts.Seed+uint64(i)*7919); err != nil {
+		if err := collectOne(part, pairs[i], window, opts, policies[i], opts.Seed+uint64(i)*7919); err != nil {
 			return nil, fmt.Errorf("experiments: collecting %s: %w", pairs[i].Name(), err)
 		}
 		return part, nil

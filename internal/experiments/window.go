@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"math"
 	"sort"
 
 	"repro/internal/noc"
@@ -132,14 +131,15 @@ func (s *windowSampler) emit(endCycle int64) {
 	m := s.src.Metrics()
 	bits := m.Delivered.TotalBits()
 	packets := m.Delivered.TotalPackets()
+	sort.Float64s(s.lats)
 	ws := WindowStats{
 		Window:                 s.index,
 		Cycle:                  endCycle,
 		Cycles:                 cycles,
 		DeliveredPackets:       packets - s.lastPackets,
 		ThroughputBitsPerCycle: float64(bits-s.lastBits) / float64(cycles),
-		LatencyP50Cycles:       nearestRank(s.lats, 50),
-		LatencyP99Cycles:       nearestRank(s.lats, 99),
+		LatencyP50Cycles:       stats.NearestRank(s.lats, 50),
+		LatencyP99Cycles:       stats.NearestRank(s.lats, 99),
 		WavelengthsOn:          s.src.WavelengthsOn(),
 		InFlight:               s.src.InFlight(),
 	}
@@ -154,25 +154,4 @@ func (s *windowSampler) emit(endCycle int64) {
 	s.lastPackets = packets
 	s.lats = s.lats[:0]
 	s.hook(ws)
-}
-
-// nearestRank is the same percentile definition stats.Histogram uses,
-// over the window's sample buffer. Sorts in place (the buffer is reset
-// after each window; emit calls with ascending p keep the sort valid).
-func nearestRank(xs []float64, p float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	sort.Float64s(xs)
-	if p <= 0 {
-		return xs[0]
-	}
-	if p >= 100 {
-		return xs[len(xs)-1]
-	}
-	rank := int(math.Ceil(p / 100 * float64(len(xs))))
-	if rank < 1 {
-		rank = 1
-	}
-	return xs[rank-1]
 }

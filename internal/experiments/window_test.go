@@ -2,8 +2,8 @@ package experiments
 
 import (
 	"math"
-	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 
 	"repro/internal/config"
@@ -97,39 +97,19 @@ func TestOnWindowIsPureObservation(t *testing.T) {
 	}
 }
 
-// TestNearestRankMatchesHistogram pins the sampler's percentile
-// definition to stats.Histogram's — the two report the same latency
-// statistic, one per window, one per run.
-func TestNearestRankMatchesHistogram(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 50; trial++ {
-		n := 1 + rng.Intn(200)
-		xs := make([]float64, n)
-		h := stats.NewHistogram(0)
-		for i := range xs {
-			v := float64(rng.Intn(1000))
-			xs[i] = v
-			h.Add(v)
-		}
-		for _, p := range []float64{0, 1, 50, 90, 99, 100} {
-			if got, want := nearestRank(xs, p), h.Percentile(p); got != want {
-				t.Fatalf("trial %d n=%d: nearestRank(%v) = %v, Histogram.Percentile = %v", trial, n, p, got, want)
-			}
-		}
-	}
-	if nearestRank(nil, 50) != 0 {
-		t.Fatal("empty sample set must report 0")
-	}
-}
-
-// TestPercentileEdgeCases pins the nearest-rank edge behavior with an
-// explicit table driven through BOTH implementations (the sampler's
-// nearestRank and stats.Histogram.Percentile). The audited hazard: at
-// p→0⁺ the raw rank ceil(p/100·n) would be 0 (index −1); NaN p makes
-// the float→int conversion implementation-defined. Both code paths
-// guard these (p<=0 short-circuits to the minimum; rank<1 clamps to 1),
-// and this table keeps any future edit honest about it.
+// TestPercentileEdgeCases pins the nearest-rank edge behavior of
+// stats.NearestRank, the one percentile every window sample, run result
+// and /metrics snapshot reports, driven through its sorted-slice form and
+// both Histogram wrappers. The audited hazard: at p→0⁺ the raw rank
+// ceil(p/100·n) would be 0 (index −1); NaN p makes the float→int
+// conversion implementation-defined. NearestRank guards both (p<=0 and
+// NaN short-circuit to the minimum), and this table keeps any future
+// edit honest about it.
 func TestPercentileEdgeCases(t *testing.T) {
+	hundred := make([]float64, 100)
+	for i := range hundred {
+		hundred[i] = float64(100 - i) // 100..1, unsorted on purpose
+	}
 	cases := []struct {
 		name    string
 		samples []float64
@@ -141,6 +121,7 @@ func TestPercentileEdgeCases(t *testing.T) {
 		{"single p0", []float64{7}, 0, 7},
 		{"single p negative", []float64{7}, -5, 7},
 		{"single p tiny", []float64{7}, 1e-9, 7},
+		{"single p smallest positive", []float64{7}, math.SmallestNonzeroFloat64, 7},
 		{"single p50", []float64{7}, 50, 7},
 		{"single p100", []float64{7}, 100, 7},
 		{"single p over 100", []float64{7}, 150, 7},
@@ -156,23 +137,32 @@ func TestPercentileEdgeCases(t *testing.T) {
 		{"quad p75 boundary", []float64{40, 10, 30, 20}, 75, 30},
 		{"quad p99", []float64{40, 10, 30, 20}, 99, 40},
 		{"quad p tiny", []float64{40, 10, 30, 20}, 1e-12, 10},
+		{"ties p50", []float64{5, 1, 5, 5}, 50, 5},
+		{"ties p1", []float64{5, 1, 5, 5}, 1, 1},
+		{"seven p90 rounds up", []float64{7, 6, 5, 4, 3, 2, 1}, 90, 7},
+		{"seven p1", []float64{7, 6, 5, 4, 3, 2, 1}, 1, 1},
+		{"hundred p0", hundred, 0, 1},
+		{"hundred p1", hundred, 1, 1},
+		{"hundred p50", hundred, 50, 50},
+		{"hundred p90", hundred, 90, 90},
+		{"hundred p99", hundred, 99, 99},
+		{"hundred p100", hundred, 100, 100},
 	}
 	for _, tc := range cases {
+		sorted := append([]float64(nil), tc.samples...)
+		sort.Float64s(sorted)
+		if got := stats.NearestRank(sorted, tc.p); got != tc.want {
+			t.Errorf("%s: NearestRank = %v, want %v", tc.name, got, tc.want)
+		}
 		h := stats.NewHistogram(0)
 		for _, v := range tc.samples {
 			h.Add(v)
 		}
-		// nearestRank sorts in place; give it its own copy so the table
-		// stays readable in unsorted order.
-		xs := append([]float64(nil), tc.samples...)
-		if got := nearestRank(xs, tc.p); got != tc.want {
-			t.Errorf("%s: nearestRank = %v, want %v", tc.name, got, tc.want)
+		if got := h.Percentiles(tc.p); got[0] != tc.want {
+			t.Errorf("%s: Histogram.Percentiles = %v, want %v", tc.name, got[0], tc.want)
 		}
 		if got := h.Percentile(tc.p); got != tc.want {
 			t.Errorf("%s: Histogram.Percentile = %v, want %v", tc.name, got, tc.want)
-		}
-		if got := h.Percentiles(tc.p); got[0] != tc.want {
-			t.Errorf("%s: Histogram.Percentiles = %v, want %v", tc.name, got[0], tc.want)
 		}
 	}
 }

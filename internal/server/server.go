@@ -19,13 +19,6 @@ import (
 type Options struct {
 	// Workers is the simulation worker-pool size (default GOMAXPROCS).
 	Workers int
-	// TickWorkers enables the intra-replica parallel tick for
-	// single-seed PEARL jobs (0/1 = sequential kernel). Results are
-	// byte-identical either way, so this is pure execution tuning;
-	// multi-seed replicated jobs ignore it (the lockstep engine already
-	// owns the cores). Sized sensibly it composes with Workers:
-	// Workers × TickWorkers should not exceed the machine.
-	TickWorkers int
 	// QueueDepth bounds queued-but-unstarted jobs (default 64); past it
 	// submissions get 503.
 	QueueDepth int
@@ -251,7 +244,6 @@ func (s *Server) buildJob(spec jobSpec) *Job {
 	if s.canary != nil {
 		spec.canarySample = s.canary.attach(spec)
 	}
-	spec.tickWorkers = s.opts.TickWorkers
 	job := newJob(fmt.Sprintf("job-%06d", s.nextID.Add(1)), spec, s.rootCtx)
 	job.events = newEventRing(s.opts.StreamRingCapacity)
 	return job

@@ -281,6 +281,9 @@ func TestSubmitValidation(t *testing.T) {
 		{"ml preset needs model", `{"preset":"ml-rw500","workload":{"cpu":"fmm","gpu":"DCT"}}`},
 		{"typoed config override", `{"config":{"StaticWavelengthz":32},"workload":{"cpu":"fmm","gpu":"DCT"}}`},
 		{"invalid config value", `{"config":{"StaticWavelengths":33},"workload":{"cpu":"fmm","gpu":"DCT"}}`},
+		{"bandwidth policy above range", `{"config":{"Bandwidth":99},"workload":{"cpu":"fmm","gpu":"DCT"}}`},
+		{"bandwidth policy below range", `{"config":{"Bandwidth":-5},"workload":{"cpu":"fmm","gpu":"DCT"}}`},
+		{"power policy out of range", `{"config":{"Power":99},"workload":{"cpu":"fmm","gpu":"DCT"}}`},
 		{"measure cycles above limit", `{"measure_cycles":99000000,"workload":{"cpu":"fmm","gpu":"DCT"}}`},
 	}
 	for _, tc := range cases {
@@ -316,6 +319,28 @@ func TestConfigOverridesAndPresetsResolve(t *testing.T) {
 	getJSON(t, ts.URL+"/v1/jobs/"+st.ID+"/result", &res)
 	if res.Config != "CMESH" {
 		t.Fatalf("cmesh result config %q", res.Config)
+	}
+}
+
+// TestCMESHJobStatusLabel pins JobStatus.config for electrical jobs to
+// the same label their results carry, never the photonic default's name.
+func TestCMESHJobStatusLabel(t *testing.T) {
+	_, ts := newTestServer(t, Options{Workers: 1})
+	for _, tc := range []struct{ body, want string }{
+		{`{"backend":"cmesh","workload":{"cpu":"fmm","gpu":"DCT"},"warmup_cycles":200,"measure_cycles":2000}`, "CMESH"},
+		{`{"backend":"cmesh","link_scale":4,"workload":{"cpu":"fmm","gpu":"DCT"},"warmup_cycles":200,"measure_cycles":2000}`, "CMESH(1/4 bw)"},
+	} {
+		code, st := postJob(t, ts, tc.body)
+		if code != http.StatusAccepted {
+			t.Fatalf("%s: HTTP %d", tc.want, code)
+		}
+		if st.Config != tc.want {
+			t.Errorf("submit status config %q, want %q", st.Config, tc.want)
+		}
+		done := pollUntil(t, ts, st.ID, func(s JobStatus) bool { return JobState(s.State).Terminal() }, 30*time.Second)
+		if done.Config != tc.want {
+			t.Errorf("final status config %q, want %q", done.Config, tc.want)
+		}
 	}
 }
 

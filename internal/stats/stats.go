@@ -103,27 +103,36 @@ func (h *Histogram) Mean() float64 {
 // dropped from percentile computation.
 func (h *Histogram) Truncated() bool { return h.n > int64(len(h.samples)) }
 
+// NearestRank returns the p-th percentile (0..100) of an ascending
+// slice by the nearest-rank rule: the value at rank ceil(p/100·n).
+// p <= 0 (and NaN) gives the minimum, p >= 100 the maximum, and an
+// empty slice gives 0.
+func NearestRank(sorted []float64, p float64) float64 {
+	n := len(sorted)
+	switch {
+	case n == 0:
+		return 0
+	case !(p > 0):
+		return sorted[0]
+	case p >= 100:
+		return sorted[n-1]
+	}
+	// A p so small that p/100·n underflows to 0 still takes rank 1.
+	rank := int(math.Ceil(p / 100 * float64(n)))
+	if rank < 1 {
+		rank = 1
+	}
+	return sorted[rank-1]
+}
+
 // Percentile returns the p-th percentile (0 <= p <= 100) of retained
 // samples using nearest-rank; 0 when empty.
 func (h *Histogram) Percentile(p float64) float64 {
-	if len(h.samples) == 0 {
-		return 0
-	}
 	if !h.sorted {
 		sort.Float64s(h.samples)
 		h.sorted = true
 	}
-	if p <= 0 {
-		return h.samples[0]
-	}
-	if p >= 100 {
-		return h.samples[len(h.samples)-1]
-	}
-	rank := int(math.Ceil(p / 100 * float64(len(h.samples))))
-	if rank < 1 {
-		rank = 1
-	}
-	return h.samples[rank-1]
+	return NearestRank(h.samples, p)
 }
 
 // Percentiles returns the requested percentiles (each 0..100,
@@ -133,26 +142,11 @@ func (h *Histogram) Percentile(p float64) float64 {
 // reports p50/p99 from a histogram shared with concurrent writers under
 // an external lock.
 func (h *Histogram) Percentiles(ps ...float64) []float64 {
-	out := make([]float64, len(ps))
-	if len(h.samples) == 0 {
-		return out
-	}
-	sorted := make([]float64, len(h.samples))
-	copy(sorted, h.samples)
+	sorted := append([]float64(nil), h.samples...)
 	sort.Float64s(sorted)
+	out := make([]float64, len(ps))
 	for i, p := range ps {
-		switch {
-		case p <= 0:
-			out[i] = sorted[0]
-		case p >= 100:
-			out[i] = sorted[len(sorted)-1]
-		default:
-			rank := int(math.Ceil(p / 100 * float64(len(sorted))))
-			if rank < 1 {
-				rank = 1
-			}
-			out[i] = sorted[rank-1]
-		}
+		out[i] = NearestRank(sorted, p)
 	}
 	return out
 }

@@ -46,9 +46,6 @@ type generator struct {
 	pending     int     // demands waiting for an MSHR slot
 	outstanding int     // requests in flight awaiting responses
 	shed        uint64
-	// demand stages this cycle's tickDemand result when the demand
-	// phase runs on a tick pool; the sequential admit pass consumes it.
-	demand int
 
 	// expFor/expNegRate cache exp(-rate) for the Poisson sampler. The rate
 	// only changes while a burst ramps, so in steady state the exponential
@@ -177,14 +174,6 @@ type Workload struct {
 	// all 34 (NumRouters x NumClasses fits a uint64).
 	respMask uint64
 
-	// tickPool, when set, fans the per-generator demand processes out
-	// across workers each cycle; demandTask is the bound task so Run
-	// never allocates. Everything shared (packet pool, nextID, buffer
-	// pushes) stays on the sequential admit pass, so results are
-	// byte-identical to the sequential tick.
-	tickPool   *sim.TickPool
-	demandTask func(worker, workers int)
-
 	measuring bool
 	// Injected counts packets accepted by the network during
 	// measurement (Figure 4 numerator).
@@ -250,84 +239,25 @@ func (w *Workload) StartMeasurement() { w.measuring = true }
 // StopMeasurement freezes the counts.
 func (w *Workload) StopMeasurement() { w.measuring = false }
 
-// SetTickPool installs (or removes, with nil) the worker pool that
-// parallelises the demand phase. Each generator's demand process is
-// self-contained (its RNG and burst chain are embedded), so workers
-// advance disjoint generator partitions concurrently; the exp(-rate)
-// memo is re-pointed to one table per worker because the shared memo is
-// a plain unsynchronised cache. Memo sharing is value-transparent, so
-// the split changes hit rates, never results.
-func (w *Workload) SetTickPool(p *sim.TickPool) {
-	w.tickPool = p
-	if p == nil {
-		return
-	}
-	if w.demandTask == nil {
-		w.demandTask = w.runDemand
-	}
-	tabs := make([]*ExpTable, p.Workers())
-	for i := range tabs {
-		tabs[i] = NewExpTable()
-	}
-	for r := 0; r < config.NumClusterRouters; r++ {
-		for class := 0; class < noc.NumClasses; class++ {
-			// Router r is always advanced by worker r mod workers (see
-			// runDemand), so this table assignment is race-free.
-			w.gens[r][class].expTab = tabs[r%p.Workers()].slots
-		}
-	}
-}
-
-// runDemand is the pool task: advance the demand processes of a strided
-// router partition, staging each generator's new demand count.
-func (w *Workload) runDemand(worker, workers int) {
-	for r := worker; r < config.NumClusterRouters; r += workers {
-		for class := 0; class < noc.NumClasses; class++ {
-			g := &w.gens[r][class]
-			g.demand = g.tickDemand()
-		}
-	}
-}
-
 // Tick first drains queued responses, then generates demand and injects
 // as many packets as credits and buffer space allow.
 func (w *Workload) Tick(cycle int64) {
 	w.drainResponses(cycle)
-	if w.tickPool != nil {
-		// Parallel demand, sequential admit: tickDemand only touches the
-		// generator's own state, while admit orders every draw on the
-		// shared packet pool and ID sequence exactly as the sequential
-		// loop below does.
-		w.tickPool.Run(w.demandTask)
-		for r := 0; r < config.NumClusterRouters; r++ {
-			for class := 0; class < noc.NumClasses; class++ {
-				g := &w.gens[r][class]
-				w.admit(g, g.demand, cycle)
-			}
-		}
-		return
-	}
 	for r := 0; r < config.NumClusterRouters; r++ {
 		for class := 0; class < noc.NumClasses; class++ {
 			g := &w.gens[r][class]
-			w.admit(g, g.tickDemand(), cycle)
+			demand := g.tickDemand()
+			g.pending += demand
+			if over := g.pending - g.profile.MaxPending; over > 0 {
+				g.pending = g.profile.MaxPending
+				g.shed += uint64(over)
+				if w.measuring {
+					w.Shed += uint64(over)
+				}
+			}
+			w.drain(g, cycle)
 		}
 	}
-}
-
-// admit folds one generator's new demands into its pending window
-// (shedding past MaxPending) and issues what MSHR credits and buffer
-// space allow.
-func (w *Workload) admit(g *generator, demand int, cycle int64) {
-	g.pending += demand
-	if over := g.pending - g.profile.MaxPending; over > 0 {
-		g.pending = g.profile.MaxPending
-		g.shed += uint64(over)
-		if w.measuring {
-			w.Shed += uint64(over)
-		}
-	}
-	w.drain(g, cycle)
 }
 
 // drain issues pending demands until an MSHR or buffer limit stops it.

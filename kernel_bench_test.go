@@ -8,7 +8,6 @@
 package pearl
 
 import (
-	"runtime"
 	"testing"
 
 	"repro/internal/cmesh"
@@ -95,80 +94,6 @@ func BenchmarkKernelReplicated(b *testing.B) {
 	b.StopTimer()
 	if secs := b.Elapsed().Seconds(); secs > 0 {
 		b.ReportMetric(float64(b.N)/secs, "replica_cycles/sec")
-	}
-}
-
-// buildPEARLKernelParallel is buildPEARLKernel with a tick pool of the
-// given worker count attached to both parallel phases (workload demand,
-// router tick). The returned cleanup closes the pool's helpers.
-func buildPEARLKernelParallel(b testing.TB, workers int) (*sim.Engine, func()) {
-	b.Helper()
-	engine := sim.NewEngine()
-	net, err := core.New(engine, config.PEARLDyn())
-	if err != nil {
-		b.Fatal(err)
-	}
-	w, err := traffic.NewWorkload(engine, net, traffic.TestPairs()[0], 2018)
-	if err != nil {
-		b.Fatal(err)
-	}
-	net.SetDeliveryHandler(w.OnDeliver)
-	engine.Register(w)
-	engine.Register(net)
-	pool := sim.NewTickPool(workers)
-	net.SetTickPool(pool)
-	w.SetTickPool(pool)
-	engine.Run(kernelWarmupCycles)
-	return engine, pool.Close
-}
-
-// benchTickWorkers sizes BenchmarkKernelParallelTick: up to 4 workers,
-// never more than the runner has cores (oversubscribed helpers would
-// only measure scheduler churn).
-func benchTickWorkers() int {
-	if procs := runtime.GOMAXPROCS(0); procs < 4 {
-		return procs
-	}
-	return 4
-}
-
-// BenchmarkKernelParallelTick times the deterministic parallel tick on
-// the same PEARL-Dyn stack as BenchmarkKernel. One op is one cycle, so
-// BenchmarkKernel ns/op over this ns/op is the single-replica speedup;
-// cmd/benchgate gates that ratio against BENCH_kernel.json's
-// parallel_tick_gate (≥1.3x aggregate on multi-core runners; a
-// single-core runner runs workers=1 and only has to hold the
-// no-regression floor).
-func BenchmarkKernelParallelTick(b *testing.B) {
-	engine, closePool := buildPEARLKernelParallel(b, benchTickWorkers())
-	defer closePool()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		engine.Step()
-	}
-	b.StopTimer()
-	if secs := b.Elapsed().Seconds(); secs > 0 {
-		b.ReportMetric(float64(b.N)/secs, "cycles/sec")
-	}
-}
-
-// BenchmarkKernelParallelTickW1 pins the workers=1 degenerate pool: the
-// parallel kernel's bookkeeping (scratch recording, commit replay) with
-// no helpers at all. Its baseline entry in BENCH_kernel.json is the
-// workers=1 no-regression gate — this path must stay within tolerance
-// of the sequential kernel.
-func BenchmarkKernelParallelTickW1(b *testing.B) {
-	engine, closePool := buildPEARLKernelParallel(b, 1)
-	defer closePool()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		engine.Step()
-	}
-	b.StopTimer()
-	if secs := b.Elapsed().Seconds(); secs > 0 {
-		b.ReportMetric(float64(b.N)/secs, "cycles/sec")
 	}
 }
 

@@ -2,6 +2,7 @@ package pearl
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
 )
 
@@ -71,6 +72,28 @@ func TestPublicTrainEvaluateRoundTrip(t *testing.T) {
 	}
 	if ev.Examples == 0 {
 		t.Fatal("evaluation saw no examples")
+	}
+}
+
+// TestTrainDeterministicAcrossSchedules pins Train to its seed: the
+// data-collection passes simulate pairs on parallel workers, so the model
+// must not depend on how those workers are scheduled. Trainings on one
+// processor and twice on four must return the same model hash.
+func TestTrainDeterministicAcrossSchedules(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	want, err := Train(500, QuickOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.GOMAXPROCS(4)
+	for i := 0; i < 2; i++ {
+		got, err := Train(500, QuickOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Hash != want.Hash {
+			t.Fatalf("GOMAXPROCS(4) training %d: model hash %s, GOMAXPROCS(1) gave %s", i, got.Hash, want.Hash)
+		}
 	}
 }
 
