@@ -13,6 +13,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -67,11 +68,13 @@ func run(configName, cpuBench, gpuBench string, cycles, warmup int64, seed uint6
 	opts.WarmupCycles = warmup
 
 	if strings.EqualFold(configName, "cmesh") {
-		res, err := experiments.RunCMESH(config.Default(), pair, opts, 1)
+		results, err := experiments.Run(context.Background(), experiments.Point{
+			Backend: experiments.BackendCMESH, Config: config.Default(), LinkScale: 1, Pair: pair,
+		}, opts, nil)
 		if err != nil {
 			return err
 		}
-		report(res)
+		report(results[0])
 		return nil
 	}
 
@@ -103,11 +106,13 @@ func run(configName, cpuBench, gpuBench string, cycles, warmup int64, seed uint6
 	if err != nil {
 		return err
 	}
-	res, err := experiments.RunPEARL(cfg, pair, opts, ctrl)
+	results, err := experiments.Run(context.Background(), experiments.Point{
+		Backend: experiments.BackendPEARL, Config: cfg, Pair: pair, Controller: ctrl,
+	}, opts, nil)
 	if err != nil {
 		return err
 	}
-	report(res)
+	report(results[0])
 	return nil
 }
 

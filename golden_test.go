@@ -1,6 +1,7 @@
 package pearl
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -21,11 +22,23 @@ func goldenOptions() experiments.Options {
 	return opts
 }
 
-func TestGoldenPEARLDyn(t *testing.T) {
-	res, err := experiments.RunPEARL(config.PEARLDyn(), traffic.TestPairs()[0], goldenOptions(), nil)
+// pearlPoint is a photonic point under its registered controller.
+func pearlPoint(cfg config.Config, pair traffic.Pair) experiments.Point {
+	return experiments.Point{Backend: experiments.BackendPEARL, Config: cfg, Pair: pair}
+}
+
+// goldenRun runs a photonic point once at the golden options.
+func goldenRun(t *testing.T, cfg config.Config, pair traffic.Pair) experiments.Result {
+	t.Helper()
+	res, err := runOne(pearlPoint(cfg, pair), goldenOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
+	return res
+}
+
+func TestGoldenPEARLDyn(t *testing.T) {
+	res := goldenRun(t, config.PEARLDyn(), traffic.TestPairs()[0])
 	if got := res.Metrics.Delivered.TotalBits(); got != 8566400 {
 		t.Errorf("delivered bits = %d, golden 8566400", got)
 	}
@@ -38,10 +51,7 @@ func TestGoldenPEARLDyn(t *testing.T) {
 }
 
 func TestGoldenDynRW500(t *testing.T) {
-	res, err := experiments.RunPEARL(config.DynRW(500), traffic.TestPairs()[0], goldenOptions(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := goldenRun(t, config.DynRW(500), traffic.TestPairs()[0])
 	if got := res.Metrics.Delivered.TotalBits(); got != 9158528 {
 		t.Errorf("delivered bits = %d, golden 9158528", got)
 	}
@@ -60,7 +70,9 @@ func TestGoldenDynRW500(t *testing.T) {
 func TestGoldenReplicaZero(t *testing.T) {
 	cfg := config.PEARLDyn()
 	pair := traffic.TestPairs()[0]
-	results, err := experiments.RunPEARLReplicated(cfg, pair, goldenOptions(), 3, nil)
+	opts := goldenOptions()
+	seeds := experiments.ReplicaSeeds(opts.Seed, cfg.Name(), pair.Name(), 3)
+	results, err := experiments.Run(context.Background(), pearlPoint(cfg, pair), opts, seeds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +92,7 @@ func TestGoldenReplicaZero(t *testing.T) {
 }
 
 func TestGoldenCMESH(t *testing.T) {
-	res, err := experiments.RunCMESH(config.Default(), traffic.TestPairs()[0], goldenOptions(), 1)
+	res, err := runOne(experiments.Point{Backend: experiments.BackendCMESH, Config: config.Default(), LinkScale: 1, Pair: traffic.TestPairs()[0]}, goldenOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

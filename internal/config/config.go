@@ -379,6 +379,18 @@ func RLRW(window int) Config {
 // ValidWavelengths lists the five laser power states of §III.C.
 var ValidWavelengths = []int{64, 48, 32, 16, 8}
 
+// Ceilings Validate puts on numeric fields that are otherwise open-ended.
+// Every preset and figure sweep sits far below them (Fig. 11 sweeps the
+// turn-on time to 32 ns; presets use 64 buffer slots and a 10-cycle
+// feature offset). Past them a run stops meaning anything: TurnOnCycles
+// wraps, router windows (offset x router id) never close, and buffers
+// are preallocated at their full size.
+const (
+	MaxLaserTurnOnNs       = 1000
+	MaxFeatureOffsetCycles = 1000
+	MaxBufferSlots         = 4096
+)
+
 // Validate reports the first problem with the configuration, or nil.
 func (c Config) Validate() error {
 	if c.Bandwidth < 0 || c.Bandwidth >= numBandwidthPolicies {
@@ -400,8 +412,9 @@ func (c Config) Validate() error {
 	if c.ReservationWindow <= 0 {
 		return errors.New("config: reservation window must be positive")
 	}
-	if c.CPUBufferSlots <= 0 || c.GPUBufferSlots <= 0 {
-		return errors.New("config: buffer slots must be positive")
+	if c.CPUBufferSlots <= 0 || c.GPUBufferSlots <= 0 ||
+		c.CPUBufferSlots > MaxBufferSlots || c.GPUBufferSlots > MaxBufferSlots {
+		return fmt.Errorf("config: buffer slots CPU %d / GPU %d outside 1..%d", c.CPUBufferSlots, c.GPUBufferSlots, MaxBufferSlots)
 	}
 	if c.CPUUpperBound <= 0 || c.CPUUpperBound > 1 {
 		return fmt.Errorf("config: CPU upper bound %v outside (0,1]", c.CPUUpperBound)
@@ -416,11 +429,12 @@ func (c Config) Validate() error {
 	if !(t.Lower >= 0 && t.Lower < t.MidLower && t.MidLower < t.MidUpper && t.MidUpper < t.Upper && t.Upper <= 1) {
 		return fmt.Errorf("config: thresholds %+v not strictly increasing in [0,1]", t)
 	}
-	if c.LaserTurnOnNs < 0 {
-		return errors.New("config: laser turn-on must be non-negative")
+	// Written so NaN fails too.
+	if !(c.LaserTurnOnNs >= 0 && c.LaserTurnOnNs <= MaxLaserTurnOnNs) {
+		return fmt.Errorf("config: laser turn-on %v ns outside 0..%d", c.LaserTurnOnNs, MaxLaserTurnOnNs)
 	}
-	if c.FeatureOffsetCycles < 0 {
-		return errors.New("config: feature offset must be non-negative")
+	if c.FeatureOffsetCycles < 0 || c.FeatureOffsetCycles > MaxFeatureOffsetCycles {
+		return fmt.Errorf("config: feature offset %d cycles outside 0..%d", c.FeatureOffsetCycles, MaxFeatureOffsetCycles)
 	}
 	if c.MeasureCycles <= 0 {
 		return errors.New("config: measure cycles must be positive")

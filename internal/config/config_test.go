@@ -113,6 +113,52 @@ func TestValidateRejectsBadBounds(t *testing.T) {
 	}
 }
 
+// TestValidateCeilings pins the declared ceilings of the open-ended
+// numeric fields: the ceiling itself validates, one step past it (and
+// the values that used to wrap or hang a run) does not.
+func TestValidateCeilings(t *testing.T) {
+	cases := []struct {
+		name string
+		mut  func(*Config)
+		ok   bool
+	}{
+		{"turn-on at ceiling", func(c *Config) { c.LaserTurnOnNs = MaxLaserTurnOnNs }, true},
+		{"turn-on above ceiling", func(c *Config) { c.LaserTurnOnNs = MaxLaserTurnOnNs + 0.5 }, false},
+		{"turn-on 1e300", func(c *Config) { c.LaserTurnOnNs = 1e300 }, false},
+		{"turn-on NaN", func(c *Config) { c.LaserTurnOnNs = math.NaN() }, false},
+		{"turn-on +Inf", func(c *Config) { c.LaserTurnOnNs = math.Inf(1) }, false},
+		{"feature offset at ceiling", func(c *Config) { c.FeatureOffsetCycles = MaxFeatureOffsetCycles }, true},
+		{"feature offset above ceiling", func(c *Config) { c.FeatureOffsetCycles = MaxFeatureOffsetCycles + 1 }, false},
+		{"feature offset 4e12", func(c *Config) { c.FeatureOffsetCycles = 4e12 }, false},
+		{"CPU slots at ceiling", func(c *Config) { c.CPUBufferSlots = MaxBufferSlots }, true},
+		{"CPU slots above ceiling", func(c *Config) { c.CPUBufferSlots = MaxBufferSlots + 1 }, false},
+		{"CPU slots 1e8", func(c *Config) { c.CPUBufferSlots = 100000000 }, false},
+		{"GPU slots at ceiling", func(c *Config) { c.GPUBufferSlots = MaxBufferSlots }, true},
+		{"GPU slots above ceiling", func(c *Config) { c.GPUBufferSlots = MaxBufferSlots + 1 }, false},
+	}
+	for _, tc := range cases {
+		c := Default()
+		tc.mut(&c)
+		if err := c.Validate(); (err == nil) != tc.ok {
+			t.Errorf("%s: Validate() = %v, want ok=%v", tc.name, err, tc.ok)
+		}
+	}
+	// Every preset stays valid, and so does the ceiling's cycle count.
+	for _, name := range PresetNames() {
+		c, err := ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.LaserTurnOnNs = MaxLaserTurnOnNs
+		if err := c.Validate(); err != nil {
+			t.Errorf("preset %s at the turn-on ceiling: %v", name, err)
+		}
+		if got := c.TurnOnCycles(); got <= 0 {
+			t.Errorf("preset %s: TurnOnCycles at the ceiling = %d", name, got)
+		}
+	}
+}
+
 // TestValidateEnumRanges pins the closed lists: every declared bandwidth
 // and power policy validates, and any other value is rejected rather than
 // silently run as some declared one.

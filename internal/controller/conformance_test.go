@@ -15,6 +15,7 @@ package controller_test
 //     must not allocate per decision.
 
 import (
+	"context"
 	"runtime"
 	"testing"
 
@@ -130,14 +131,16 @@ func TestControllerDeterminismAcrossGOMAXPROCS(t *testing.T) {
 		spec := spec
 		t.Run(spec.Name, func(t *testing.T) {
 			cfg, ctrl := build(t, spec)
+			p := experiments.Point{Backend: experiments.BackendPEARL, Config: cfg, Pair: pair, Controller: ctrl}
 			prev := runtime.GOMAXPROCS(1)
-			a, errA := experiments.RunPEARL(cfg, pair, opts, ctrl)
+			ra, errA := experiments.Run(context.Background(), p, opts, nil)
 			runtime.GOMAXPROCS(4)
-			b, errB := experiments.RunPEARL(cfg, pair, opts, ctrl)
+			rb, errB := experiments.Run(context.Background(), p, opts, nil)
 			runtime.GOMAXPROCS(prev)
 			if errA != nil || errB != nil {
 				t.Fatal(errA, errB)
 			}
+			a, b := ra[0], rb[0]
 			if a.Metrics.Delivered.TotalBits() != b.Metrics.Delivered.TotalBits() ||
 				a.Metrics.Latency.Mean() != b.Metrics.Latency.Mean() ||
 				a.Account.AverageLaserPowerW() != b.Account.AverageLaserPowerW() ||
@@ -156,7 +159,7 @@ func TestControllerDeterminismAcrossGOMAXPROCS(t *testing.T) {
 func TestReplicaSafetyDeclarationMatchesGate(t *testing.T) {
 	for _, spec := range controller.Specs() {
 		cfg, ctrl := build(t, spec)
-		err := experiments.CanReplicate(cfg, ctrl)
+		err := experiments.CanReplicate(experiments.Point{Backend: experiments.BackendPEARL, Config: cfg, Controller: ctrl})
 		if spec.Caps.ReplicaSafe && err != nil {
 			t.Errorf("%s declares ReplicaSafe but CanReplicate rejects it: %v", spec.Name, err)
 		}

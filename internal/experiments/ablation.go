@@ -27,7 +27,7 @@ import (
 // returning mean throughput (bits/cycle) and mean laser power (W).
 func (s *Suite) runDynMean(cfg config.Config, ctrl controller.Controller) (thr, laser float64, err error) {
 	results, err := parallelMap(len(s.Opts.Pairs), func(i int) (Result, error) {
-		return RunPEARL(cfg, s.Opts.Pairs[i], s.Opts, ctrl)
+		return runOne(pearlAt(cfg, s.Opts.Pairs[i], ctrl), s.Opts)
 	})
 	if err != nil {
 		return 0, 0, err
@@ -52,7 +52,7 @@ func (s *Suite) AblationBandwidthStep() (Table, error) {
 		cfg.BandwidthStep = step
 		var thr, p99 float64
 		for _, pair := range s.Opts.Pairs {
-			res, err := RunPEARL(cfg, pair, s.Opts, nil)
+			res, err := runOne(pearlAt(cfg, pair, nil), s.Opts)
 			if err != nil {
 				return Table{}, err
 			}
@@ -85,7 +85,7 @@ func (s *Suite) AblationDBABounds() (Table, error) {
 		cfg.CPUUpperBound, cfg.GPUUpperBound = pt.cpu, pt.gpu
 		var thr, cpuLat, gpuLat float64
 		for _, pair := range s.Opts.Pairs {
-			res, err := RunPEARL(cfg, pair, s.Opts, nil)
+			res, err := runOne(pearlAt(cfg, pair, nil), s.Opts)
 			if err != nil {
 				return Table{}, err
 			}
@@ -310,7 +310,7 @@ func collectBeta(ds *mlkit.Dataset, pair traffic.Pair, opts Options, policy core
 		return err
 	}
 	net.SetStatePolicy(policy)
-	w, err := traffic.NewWorkload(engine, net, pair, runSeed(seed, "", pair.Name()))
+	w, err := traffic.NewWorkload(engine, net, pair, runSeed(seed, pair.Name()))
 	if err != nil {
 		return err
 	}
@@ -339,7 +339,7 @@ func runWithPolicy(cfg config.Config, pair traffic.Pair, opts Options, policy co
 	net.SetStatePolicy(policy)
 	acct := newAccount()
 	net.SetAccount(acct)
-	w, err := traffic.NewWorkload(engine, net, pair, runSeed(opts.Seed, cfg.Name(), pair.Name()))
+	w, err := traffic.NewWorkload(engine, net, pair, runSeed(opts.Seed, pair.Name()))
 	if err != nil {
 		return Result{}, err
 	}

@@ -24,7 +24,7 @@ func tiny() Options {
 }
 
 func TestRunPEARLProducesMetrics(t *testing.T) {
-	res, err := RunPEARL(config.PEARLDyn(), traffic.TestPairs()[0], tiny(), nil)
+	res, err := runOne(pearlAt(config.PEARLDyn(), traffic.TestPairs()[0], nil), tiny())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,13 +43,13 @@ func TestRunPEARLProducesMetrics(t *testing.T) {
 }
 
 func TestRunPEARLNeedsPredictorForML(t *testing.T) {
-	if _, err := RunPEARL(config.MLRW(500, true), traffic.TestPairs()[0], tiny(), nil); err == nil {
+	if _, err := runOne(pearlAt(config.MLRW(500, true), traffic.TestPairs()[0], nil), tiny()); err == nil {
 		t.Fatal("expected error without predictor")
 	}
 }
 
 func TestRunCMESHProducesMetrics(t *testing.T) {
-	res, err := RunCMESH(config.Default(), traffic.TestPairs()[0], tiny(), 1)
+	res, err := runOne(cmeshAt(1, traffic.TestPairs()[0]), tiny())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +59,7 @@ func TestRunCMESHProducesMetrics(t *testing.T) {
 	if res.Name != "CMESH" {
 		t.Fatalf("name %q", res.Name)
 	}
-	res2, err := RunCMESH(config.Default(), traffic.TestPairs()[0], tiny(), 2)
+	res2, err := runOne(cmeshAt(2, traffic.TestPairs()[0]), tiny())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,11 +73,11 @@ func TestRunCMESHProducesMetrics(t *testing.T) {
 
 func TestRunDeterminism(t *testing.T) {
 	opts := tiny()
-	a, err := RunPEARL(config.DynRW(500), traffic.TestPairs()[0], opts, nil)
+	a, err := runOne(pearlAt(config.DynRW(500), traffic.TestPairs()[0], nil), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunPEARL(config.DynRW(500), traffic.TestPairs()[0], opts, nil)
+	b, err := runOne(pearlAt(config.DynRW(500), traffic.TestPairs()[0], nil), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,8 +92,8 @@ func TestPairedSeeding(t *testing.T) {
 	// pair: injected CPU share under identical (pair, seed) should match
 	// closely between the two static photonic configs.
 	opts := tiny()
-	a, _ := RunPEARL(config.PEARLDyn(), traffic.TestPairs()[0], opts, nil)
-	b, _ := RunPEARL(config.PEARLFCFS(), traffic.TestPairs()[0], opts, nil)
+	a, _ := runOne(pearlAt(config.PEARLDyn(), traffic.TestPairs()[0], nil), opts)
+	b, _ := runOne(pearlAt(config.PEARLFCFS(), traffic.TestPairs()[0], nil), opts)
 	// The demand processes are seeded identically, but the accepted mix
 	// shifts with the closed loop (round-trip latency gates MSHR reuse),
 	// so allow a generous band.

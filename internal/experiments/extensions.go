@@ -29,8 +29,8 @@ func (s *Suite) Extensions() (Table, error) {
 	}
 
 	type entry struct {
-		name   string
-		runOne func(pairIdx int) (Result, error)
+		name string
+		run  func(pairIdx int) (Result, error)
 	}
 
 	mlCtrl, err := s.controllerFor(config.MLRW(500, true))
@@ -40,13 +40,13 @@ func (s *Suite) Extensions() (Table, error) {
 
 	entries := []entry{
 		{"PEARL-Dyn(64WL)", func(i int) (Result, error) {
-			return RunPEARL(config.PEARLDyn(), s.Opts.Pairs[i], s.Opts, nil)
+			return runOne(pearlAt(config.PEARLDyn(), s.Opts.Pairs[i], nil), s.Opts)
 		}},
 		{"Dyn RW500 (reactive)", func(i int) (Result, error) {
-			return RunPEARL(config.DynRW(500), s.Opts.Pairs[i], s.Opts, nil)
+			return runOne(pearlAt(config.DynRW(500), s.Opts.Pairs[i], nil), s.Opts)
 		}},
 		{"ML RW500 (offline ridge)", func(i int) (Result, error) {
-			return RunPEARL(config.MLRW(500, true), s.Opts.Pairs[i], s.Opts, mlCtrl)
+			return runOne(pearlAt(config.MLRW(500, true), s.Opts.Pairs[i], mlCtrl), s.Opts)
 		}},
 		{"Online RLS RW500", func(i int) (Result, error) {
 			policy, err := core.NewOnlinePolicy(0.995, true)
@@ -70,7 +70,7 @@ func (s *Suite) Extensions() (Table, error) {
 	for idx, e := range entries {
 		var thr, pow float64
 		for i := range s.Opts.Pairs {
-			res, err := e.runOne(i)
+			res, err := e.run(i)
 			if err != nil {
 				return Table{}, fmt.Errorf("extensions %s: %w", e.name, err)
 			}

@@ -150,7 +150,7 @@ func (s *Suite) Figure4() (Table, error) {
 		Notes:   "CPU benchmarks create more packets than GPU overall; DBA keeps allocation demand-driven",
 	}
 	results, err := parallelMap(len(s.Opts.Pairs), func(i int) (Result, error) {
-		return RunPEARL(config.PEARLDyn(), s.Opts.Pairs[i], s.Opts, nil)
+		return runOne(pearlAt(config.PEARLDyn(), s.Opts.Pairs[i], nil), s.Opts)
 	})
 	if err != nil {
 		return Table{}, err
@@ -176,15 +176,15 @@ func (s *Suite) Figure5() (Table, error) {
 	}
 	variants := []variant{
 		{"PEARL-Dyn", func(wl, _ int, pair traffic.Pair) (Result, error) {
-			return RunPEARL(config.StaticWL(wl), pair, s.Opts, nil)
+			return runOne(pearlAt(config.StaticWL(wl), pair, nil), s.Opts)
 		}},
 		{"PEARL-FCFS", func(wl, _ int, pair traffic.Pair) (Result, error) {
 			cfg := config.StaticWL(wl)
 			cfg.Bandwidth = config.PolicyFCFS
-			return RunPEARL(cfg, pair, s.Opts, nil)
+			return runOne(pearlAt(cfg, pair, nil), s.Opts)
 		}},
 		{"CMESH", func(_, scale int, pair traffic.Pair) (Result, error) {
-			return RunCMESH(config.Default(), pair, s.Opts, scale)
+			return runOne(cmeshAt(scale, pair), s.Opts)
 		}},
 	}
 	points := []struct{ wl, scale int }{{64, 1}, {32, 2}, {16, 4}}
@@ -265,7 +265,7 @@ func (s *Suite) runScalingSetUncached() (Table, Table, error) {
 			return Table{}, Table{}, err
 		}
 		results, err := parallelMap(len(s.Opts.Pairs), func(i int) (Result, error) {
-			return RunPEARL(cfg, s.Opts.Pairs[i], s.Opts, ctrl)
+			return runOne(pearlAt(cfg, s.Opts.Pairs[i], ctrl), s.Opts)
 		})
 		if err != nil {
 			return Table{}, Table{}, err
@@ -317,7 +317,7 @@ func (s *Suite) Figure8() (Table, error) {
 			return Table{}, err
 		}
 		results, err := parallelMap(len(s.Opts.Pairs), func(i int) (Result, error) {
-			return RunPEARL(cfg, s.Opts.Pairs[i], s.Opts, ctrl)
+			return runOne(pearlAt(cfg, s.Opts.Pairs[i], ctrl), s.Opts)
 		})
 		if err != nil {
 			return Table{}, err
@@ -357,23 +357,23 @@ func (s *Suite) Figure9() (Table, error) {
 		run  func(pair traffic.Pair) (Result, error)
 	}
 	entries := []entry{
-		{"PEARL-Dyn(64WL)", func(p traffic.Pair) (Result, error) { return RunPEARL(config.PEARLDyn(), p, s.Opts, nil) }},
-		{"PEARL-FCFS(64WL)", func(p traffic.Pair) (Result, error) { return RunPEARL(config.PEARLFCFS(), p, s.Opts, nil) }},
+		{"PEARL-Dyn(64WL)", func(p traffic.Pair) (Result, error) { return runOne(pearlAt(config.PEARLDyn(), p, nil), s.Opts) }},
+		{"PEARL-FCFS(64WL)", func(p traffic.Pair) (Result, error) { return runOne(pearlAt(config.PEARLFCFS(), p, nil), s.Opts) }},
 		{"Dyn RW500", func(p traffic.Pair) (Result, error) {
 			cfg := config.DynRW(500)
 			cfg.Allow8WL = false
-			return RunPEARL(cfg, p, s.Opts, nil)
+			return runOne(pearlAt(cfg, p, nil), s.Opts)
 		}},
 		{"ML RW500 no8WL", func(p traffic.Pair) (Result, error) {
-			return RunPEARL(config.MLRW(500, false), p, s.Opts, mlCtrl)
+			return runOne(pearlAt(config.MLRW(500, false), p, mlCtrl), s.Opts)
 		}},
 		{"PROTEUS RW500", func(p traffic.Pair) (Result, error) {
-			return RunPEARL(config.ProteusRW(500), p, s.Opts, nil)
+			return runOne(pearlAt(config.ProteusRW(500), p, nil), s.Opts)
 		}},
 		{"D3NOC RW500", func(p traffic.Pair) (Result, error) {
-			return RunPEARL(config.D3NOCRW(500), p, s.Opts, nil)
+			return runOne(pearlAt(config.D3NOCRW(500), p, nil), s.Opts)
 		}},
-		{"CMESH", func(p traffic.Pair) (Result, error) { return RunCMESH(config.Default(), p, s.Opts, 1) }},
+		{"CMESH", func(p traffic.Pair) (Result, error) { return runOne(cmeshAt(1, p), s.Opts) }},
 	}
 	var values []float64
 	for _, e := range entries {
@@ -407,7 +407,7 @@ func (s *Suite) Figure10() (Table, error) {
 		Notes:   "paper: RW2000 best throughput; RW500/RW1000 drop vs static 64WL",
 	}
 	base, err := meanOverPairs(s.Opts.Pairs, func(pair traffic.Pair) (float64, error) {
-		res, err := RunPEARL(config.PEARLDyn(), pair, s.Opts, nil)
+		res, err := runOne(pearlAt(config.PEARLDyn(), pair, nil), s.Opts)
 		if err != nil {
 			return 0, err
 		}
@@ -423,7 +423,7 @@ func (s *Suite) Figure10() (Table, error) {
 			return Table{}, err
 		}
 		mean, err := meanOverPairs(s.Opts.Pairs, func(pair traffic.Pair) (float64, error) {
-			res, err := RunPEARL(config.MLRW(window, true), pair, s.Opts, ctrl)
+			res, err := runOne(pearlAt(config.MLRW(window, true), pair, ctrl), s.Opts)
 			if err != nil {
 				return 0, err
 			}
@@ -455,7 +455,7 @@ func (s *Suite) Figure11() (Table, error) {
 			cfg := config.DynRW(window)
 			cfg.LaserTurnOnNs = turnOn
 			results, err := parallelMap(len(s.Opts.Pairs), func(i int) (Result, error) {
-				return RunPEARL(cfg, s.Opts.Pairs[i], s.Opts, nil)
+				return runOne(pearlAt(cfg, s.Opts.Pairs[i], nil), s.Opts)
 			})
 			if err != nil {
 				return Table{}, err

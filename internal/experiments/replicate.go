@@ -15,13 +15,13 @@ import (
 // Replicated lockstep execution: N replicas of one (config, pair) —
 // identical topology and policy, different seeds — stepped through a
 // shared per-cycle loop. Each replica is a complete independent stack
-// built by the same builders the single-run entry points use, so every
-// replica's Result is bit-identical to a standalone run of its seed;
-// the lockstep engine only amortises scheduling overhead and spreads
-// the replicas across cores.
+// built by buildReplica, exactly as a one-seed Run builds its only one,
+// so every replica's Result is bit-identical to a standalone run of its
+// seed; the lockstep engine only amortises scheduling overhead and
+// spreads the replicas across cores.
 //
 // Seed derivation contract: replica 0 runs the caller's base seed
-// unchanged, so it is byte-identical to today's single run (and its
+// unchanged, so it is byte-identical to a one-seed run (and its
 // cache entry has the same content address). Replicas i > 0 run
 // ReplicaSeed(base, configName, pairName, i). Unlike the single-run
 // workload seed (runSeed, which deliberately drops the config name for
@@ -69,29 +69,37 @@ func ReplicaSeeds(base uint64, configName, pairName string, n int) []uint64 {
 	return seeds
 }
 
-// CanReplicate reports whether a PEARL configuration can run in
-// replicated lockstep mode under the given controller: the controller
-// must declare itself replica-safe (every Policy call mints an
-// independent instance, so replica N matches a standalone run of its
-// seed). ctrl may be nil, in which case the configuration's registered
-// controller is consulted; a model-needing configuration then fails
-// with the construction error. The electrical CMESH baseline is always
-// replicable and has no gate.
-func CanReplicate(cfg config.Config, ctrl controller.Controller) error {
+// CanReplicate reports whether p may run its seeds in one lockstep
+// engine: the electrical CMESH baseline always can, and a photonic point
+// can when its controller declares itself replica-safe (every Policy call
+// mints an independent instance, so replica N matches a standalone run
+// of its seed). A nil Controller means the configuration's registered
+// controller; a model-needing configuration then fails with the
+// construction error.
+func CanReplicate(p Point) error {
+	if p.Backend == BackendCMESH {
+		return nil
+	}
+	ctrl := p.Controller
 	if ctrl == nil {
-		c, err := controller.New(cfg, nil)
+		c, err := controller.New(p.Config, nil)
 		if err != nil {
 			return err
 		}
 		ctrl = c
 	}
 	if !ctrl.Capabilities().ReplicaSafe {
-		return fmt.Errorf("experiments: controller %s is not replica-safe; %s cannot run replicated", ctrl.Name(), cfg.Name())
+		return fmt.Errorf("experiments: controller %s is not replica-safe; %s cannot run replicated", ctrl.Name(), p.Config.Name())
 	}
 	return nil
 }
 
-// Lockstep steps N independent replicas through a shared cycle loop on
+// runCtxChunk is how many cycles run between context checks: small
+// enough that cancellation lands well inside a client poll interval,
+// large enough to stay off the hot path.
+const runCtxChunk = 1024
+
+// lockstep steps N independent replicas through a shared cycle loop on
 // a small pool of persistent worker goroutines. Replica i is pinned to
 // worker i mod workers for the lifetime of the run, so each replica's
 // whole history executes on one goroutine; workers only synchronise at
@@ -99,8 +107,9 @@ func CanReplicate(cfg config.Config, ctrl controller.Controller) error {
 //
 // Because replicas never exchange state, the worker count (and hence
 // GOMAXPROCS) cannot influence any replica's results — only how the
-// chunks interleave in wall-clock time.
-type Lockstep struct {
+// chunks interleave in wall-clock time. A single run is a lockstep of
+// one replica.
+type lockstep struct {
 	replicas []replica
 	workers  int
 	cmds     []chan int64
@@ -109,13 +118,18 @@ type Lockstep struct {
 	closed   bool
 }
 
-// newLockstep builds n replicas via build and starts the worker pool.
-// build receives the replica index and the exp-table shared by that
-// replica's worker lane.
-func newLockstep(n int, build func(i int, tab *traffic.ExpTable) (replica, error)) (*Lockstep, error) {
-	if n <= 0 {
-		return nil, fmt.Errorf("experiments: replicated run needs at least one seed")
+// newLockstep builds one replica of p per seed — seeds[i] becomes
+// replica i's Options.Seed, and only replica 0 keeps the observation
+// hooks — and starts the worker pool.
+func newLockstep(p Point, opts Options, seeds []uint64) (*lockstep, error) {
+	if p.Backend == BackendPEARL && p.Controller == nil {
+		ctrl, err := controller.New(p.Config, nil)
+		if err != nil {
+			return nil, err
+		}
+		p.Controller = ctrl
 	}
+	n := len(seeds)
 	workers := runtime.GOMAXPROCS(0)
 	if workers > n {
 		workers = n
@@ -127,14 +141,19 @@ func newLockstep(n int, build func(i int, tab *traffic.ExpTable) (replica, error
 	for i := range tables {
 		tables[i] = traffic.NewExpTable()
 	}
-	l := &Lockstep{
+	l := &lockstep{
 		replicas: make([]replica, n),
 		workers:  workers,
 		cmds:     make([]chan int64, workers),
 		done:     make(chan struct{}, workers),
 	}
-	for i := 0; i < n; i++ {
-		r, err := build(i, tables[i%workers])
+	for i, seed := range seeds {
+		o := opts
+		o.Seed = seed
+		if i != 0 {
+			o.OnWindow, o.OnWindowSample = nil, nil
+		}
+		r, err := buildReplica(p, o, tables[i%workers])
 		if err != nil {
 			return nil, err
 		}
@@ -148,7 +167,7 @@ func newLockstep(n int, build func(i int, tab *traffic.ExpTable) (replica, error
 	return l, nil
 }
 
-func (l *Lockstep) worker(w int) {
+func (l *lockstep) worker(w int) {
 	defer l.wg.Done()
 	for chunk := range l.cmds[w] {
 		for i := w; i < len(l.replicas); i += l.workers {
@@ -158,14 +177,11 @@ func (l *Lockstep) worker(w int) {
 	}
 }
 
-// Replicas returns how many replicas the engine is stepping.
-func (l *Lockstep) Replicas() int { return len(l.replicas) }
-
-// Run advances every replica by the given number of cycles and returns
+// step advances every replica by the given number of cycles and returns
 // once all of them have caught up. The channel hand-off at each end of
 // the chunk is the only synchronisation: the coordinator's state reads
-// between Runs are ordered after every worker's writes.
-func (l *Lockstep) Run(cycles int64) {
+// between steps are ordered after every worker's writes.
+func (l *lockstep) step(cycles int64) {
 	for w := 0; w < l.workers; w++ {
 		l.cmds[w] <- cycles
 	}
@@ -174,28 +190,9 @@ func (l *Lockstep) Run(cycles int64) {
 	}
 }
 
-// StartMeasurement begins the measurement phase on every replica. Call
-// only between Runs (workers quiescent).
-func (l *Lockstep) StartMeasurement() {
-	for i := range l.replicas {
-		l.replicas[i].startMeasure()
-	}
-}
-
-// FinishMeasurement freezes counters and finalises every replica's
-// Result, in replica order. Call only between Runs.
-func (l *Lockstep) FinishMeasurement(measured int64) []Result {
-	results := make([]Result, len(l.replicas))
-	for i := range l.replicas {
-		l.replicas[i].stopMeasure(measured)
-		results[i] = l.replicas[i].finalize()
-	}
-	return results
-}
-
-// Close stops the worker pool. The Lockstep must not be used after
-// Close; Close is idempotent.
-func (l *Lockstep) Close() {
+// close stops the worker pool. The lockstep must not be used after
+// close; close is idempotent.
+func (l *lockstep) close() {
 	if l.closed {
 		return
 	}
@@ -207,8 +204,9 @@ func (l *Lockstep) Close() {
 }
 
 // runCtx drives all replicas for n cycles in bounded chunks, checking
-// ctx between chunks (the lockstep analogue of runCycles).
-func (l *Lockstep) runCtx(ctx context.Context, n int64) error {
+// ctx between chunks so a cancelled or timed-out run stops within
+// ~runCtxChunk cycles instead of completing the whole window.
+func (l *lockstep) runCtx(ctx context.Context, n int64) error {
 	for remaining := n; remaining > 0; {
 		if err := ctx.Err(); err != nil {
 			return err
@@ -217,113 +215,41 @@ func (l *Lockstep) runCtx(ctx context.Context, n int64) error {
 		if step > remaining {
 			step = remaining
 		}
-		l.Run(step)
+		l.step(step)
 		remaining -= step
 	}
-	// Every replica completed all n cycles; like runCycles, a
-	// cancellation racing the final chunk must not discard the finished
-	// work.
+	// Every replica completed all n cycles: the results are fully
+	// computed, so a cancellation that lands during the final chunk must
+	// not discard them.
 	return nil
 }
 
-// runAll is the warmup → measure → finalize sequence shared by the
-// replicated entry points.
-func (l *Lockstep) runAll(ctx context.Context, opts Options) ([]Result, error) {
+// runLockstep is the warmup → measure → finalize sequence of one Run
+// over seeds, all stepped in one lockstep engine.
+func runLockstep(ctx context.Context, p Point, opts Options, seeds []uint64) ([]Result, error) {
+	l, err := newLockstep(p, opts, seeds)
+	if err != nil {
+		return nil, err
+	}
+	defer l.close()
 	if err := l.runCtx(ctx, opts.WarmupCycles); err != nil {
 		return nil, err
 	}
-	l.StartMeasurement()
+	for i := range l.replicas {
+		l.replicas[i].startMeasure()
+	}
 	if err := l.runCtx(ctx, opts.MeasureCycles); err != nil {
 		return nil, err
 	}
-	return l.FinishMeasurement(opts.MeasureCycles), nil
-}
-
-// NewPEARLLockstep builds a lockstep engine over one photonic
-// configuration with one replica per seed. seeds[i] becomes replica i's
-// Options.Seed verbatim — callers wanting the standard fan use
-// ReplicaSeeds. opts.OnWindow and opts.OnWindowSample, if set, observe
-// replica 0 only and are invoked from a worker goroutine.
-func NewPEARLLockstep(cfg config.Config, pair traffic.Pair, opts Options, seeds []uint64, ctrl controller.Controller) (*Lockstep, error) {
-	if ctrl == nil {
-		c, err := controller.New(cfg, nil)
-		if err != nil {
-			return nil, err
-		}
-		ctrl = c
+	results := make([]Result, len(l.replicas))
+	for i := range l.replicas {
+		l.replicas[i].stopMeasure(opts.MeasureCycles)
+		results[i] = l.replicas[i].result()
 	}
-	if err := CanReplicate(cfg, ctrl); err != nil {
-		return nil, err
-	}
-	return newLockstep(len(seeds), func(i int, tab *traffic.ExpTable) (replica, error) {
-		o := opts
-		o.Seed = seeds[i]
-		if i != 0 {
-			o.OnWindow = nil
-			o.OnWindowSample = nil
-		}
-		return buildPEARLReplica(cfg, pair, o, ctrl, tab)
-	})
+	return results, nil
 }
 
-// NewCMESHLockstep is NewPEARLLockstep for the electrical baseline.
-func NewCMESHLockstep(cfg config.Config, pair traffic.Pair, opts Options, seeds []uint64, linkScale int) (*Lockstep, error) {
-	return newLockstep(len(seeds), func(i int, tab *traffic.ExpTable) (replica, error) {
-		o := opts
-		o.Seed = seeds[i]
-		if i != 0 {
-			o.OnWindow = nil
-		}
-		return buildCMESHReplica(cfg, pair, o, linkScale, tab)
-	})
-}
-
-// RunPEARLReplicatedSeeds runs one replica per seed in lockstep and
-// returns their Results in seed order. results[i] is bit-identical to
-// RunPEARLCtx with opts.Seed = seeds[i].
+// RunPEARLReplicatedSeeds is Run over a photonic point.
 func RunPEARLReplicatedSeeds(ctx context.Context, cfg config.Config, pair traffic.Pair, opts Options, seeds []uint64, ctrl controller.Controller) ([]Result, error) {
-	l, err := NewPEARLLockstep(cfg, pair, opts, seeds, ctrl)
-	if err != nil {
-		return nil, err
-	}
-	defer l.Close()
-	return l.runAll(ctx, opts)
-}
-
-// RunPEARLReplicated runs n replicas with the standard derived-seed fan
-// (see ReplicaSeeds); replica 0 runs opts.Seed itself.
-func RunPEARLReplicated(cfg config.Config, pair traffic.Pair, opts Options, n int, ctrl controller.Controller) ([]Result, error) {
-	return RunPEARLReplicatedCtx(context.Background(), cfg, pair, opts, n, ctrl)
-}
-
-// RunPEARLReplicatedCtx is RunPEARLReplicated with cooperative
-// cancellation between cycle chunks.
-func RunPEARLReplicatedCtx(ctx context.Context, cfg config.Config, pair traffic.Pair, opts Options, n int, ctrl controller.Controller) ([]Result, error) {
-	seeds := ReplicaSeeds(opts.Seed, cfg.Name(), pair.Name(), n)
-	return RunPEARLReplicatedSeeds(ctx, cfg, pair, opts, seeds, ctrl)
-}
-
-// RunCMESHReplicatedSeeds is RunPEARLReplicatedSeeds for the electrical
-// baseline.
-func RunCMESHReplicatedSeeds(ctx context.Context, cfg config.Config, pair traffic.Pair, opts Options, seeds []uint64, linkScale int) ([]Result, error) {
-	l, err := NewCMESHLockstep(cfg, pair, opts, seeds, linkScale)
-	if err != nil {
-		return nil, err
-	}
-	defer l.Close()
-	return l.runAll(ctx, opts)
-}
-
-// RunCMESHReplicated runs n electrical-baseline replicas with the
-// standard derived-seed fan (the CMESH label, including the link-scale
-// suffix, is the config name folded into the fan).
-func RunCMESHReplicated(cfg config.Config, pair traffic.Pair, opts Options, n int, linkScale int) ([]Result, error) {
-	return RunCMESHReplicatedCtx(context.Background(), cfg, pair, opts, n, linkScale)
-}
-
-// RunCMESHReplicatedCtx is RunCMESHReplicated with cooperative
-// cancellation between cycle chunks.
-func RunCMESHReplicatedCtx(ctx context.Context, cfg config.Config, pair traffic.Pair, opts Options, n int, linkScale int) ([]Result, error) {
-	seeds := ReplicaSeeds(opts.Seed, CMESHName(linkScale), pair.Name(), n)
-	return RunCMESHReplicatedSeeds(ctx, cfg, pair, opts, seeds, linkScale)
+	return Run(ctx, pearlAt(cfg, pair, ctrl), opts, seeds)
 }

@@ -78,51 +78,46 @@ func sameResult(t *testing.T, label string, got, want Result) {
 	}
 }
 
-func TestReplicatedMatchesSequentialPEARL(t *testing.T) {
-	cfg := config.PEARLDyn()
-	pair := traffic.TestPairs()[0]
+// checkReplicatedMatchesSequential pins Run's seed contract on both
+// stepping modes: a replica-safe point's seeds share one lockstep
+// engine, a non-replica-safe point runs them one by one, and either way
+// results[i] is bit-identical to Run over seeds[i] alone.
+func checkReplicatedMatchesSequential(t *testing.T, p Point, lockstep bool) {
+	t.Helper()
+	if got := CanReplicate(p) == nil; got != lockstep {
+		t.Fatalf("CanReplicate = %v, want lockstep %v", CanReplicate(p), lockstep)
+	}
 	opts := tiny()
-	const n = 3
-
-	results, err := RunPEARLReplicated(cfg, pair, opts, n, nil)
+	seeds := ReplicaSeeds(opts.Seed, p.Name(), p.Pair.Name(), 3)
+	results, err := Run(context.Background(), p, opts, seeds)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(results) != n {
-		t.Fatalf("got %d results, want %d", len(results), n)
+	if len(results) != len(seeds) {
+		t.Fatalf("got %d results, want %d", len(results), len(seeds))
 	}
-	seeds := ReplicaSeeds(opts.Seed, cfg.Name(), pair.Name(), n)
 	for i, seed := range seeds {
-		o := opts
-		o.Seed = seed
-		want, err := RunPEARL(cfg, pair, o, nil)
+		want, err := Run(context.Background(), p, opts, []uint64{seed})
 		if err != nil {
 			t.Fatal(err)
 		}
-		sameResult(t, cfg.Name(), results[i], want)
+		sameResult(t, p.Name(), results[i], want[0])
 	}
 }
 
-func TestReplicatedMatchesSequentialCMESH(t *testing.T) {
-	cfg := config.Default()
-	pair := traffic.TestPairs()[1]
-	opts := tiny()
-	const n, linkScale = 3, 2
+func TestReplicatedMatchesSequentialPEARL(t *testing.T) {
+	checkReplicatedMatchesSequential(t, pearlAt(config.PEARLDyn(), traffic.TestPairs()[0], nil), true)
+}
 
-	results, err := RunCMESHReplicated(cfg, pair, opts, n, linkScale)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seeds := ReplicaSeeds(opts.Seed, CMESHName(linkScale), pair.Name(), n)
-	for i, seed := range seeds {
-		o := opts
-		o.Seed = seed
-		want, err := RunCMESH(cfg, pair, o, linkScale)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sameResult(t, "CMESH", results[i], want)
-	}
+func TestReplicatedMatchesSequentialCMESH(t *testing.T) {
+	checkReplicatedMatchesSequential(t, cmeshAt(2, traffic.TestPairs()[1]), true)
+}
+
+// TestReplicatedMatchesSequentialOnline covers the per-seed fallback:
+// the online controller is not replica-safe, so Run steps its seeds
+// one by one.
+func TestReplicatedMatchesSequentialOnline(t *testing.T) {
+	checkReplicatedMatchesSequential(t, pearlAt(config.OnlineRW(500), traffic.TestPairs()[0], nil), false)
 }
 
 func TestReplicatedGOMAXPROCSInvariance(t *testing.T) {
@@ -131,11 +126,13 @@ func TestReplicatedGOMAXPROCSInvariance(t *testing.T) {
 	opts := tiny()
 	opts.MeasureCycles = 3000
 	const n = 4
+	p := pearlAt(cfg, pair, nil)
+	seeds := ReplicaSeeds(opts.Seed, cfg.Name(), pair.Name(), n)
 
 	prev := runtime.GOMAXPROCS(1)
-	one, err1 := RunPEARLReplicated(cfg, pair, opts, n, nil)
+	one, err1 := Run(context.Background(), p, opts, seeds)
 	runtime.GOMAXPROCS(4)
-	four, err4 := RunPEARLReplicated(cfg, pair, opts, n, nil)
+	four, err4 := Run(context.Background(), p, opts, seeds)
 	runtime.GOMAXPROCS(prev)
 	if err1 != nil || err4 != nil {
 		t.Fatal(err1, err4)
@@ -148,7 +145,7 @@ func TestReplicatedGOMAXPROCSInvariance(t *testing.T) {
 func TestReplicatedCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := RunPEARLReplicatedCtx(ctx, config.PEARLDyn(), traffic.TestPairs()[0], tiny(), 2, nil); err == nil {
+	if _, err := Run(ctx, pearlAt(config.PEARLDyn(), traffic.TestPairs()[0], nil), tiny(), []uint64{1, 2}); err == nil {
 		t.Fatal("cancelled context should abort the replicated run")
 	}
 }
@@ -182,23 +179,27 @@ func TestCanReplicate(t *testing.T) {
 	unsafe.name = "stub-unsafe"
 	unsafe.caps.ReplicaSafe = false
 
-	if err := CanReplicate(config.PEARLDyn(), nil); err != nil {
+	pair := traffic.TestPairs()[0]
+	if err := CanReplicate(pearlAt(config.PEARLDyn(), pair, nil)); err != nil {
 		t.Errorf("static config's registered controller should replicate: %v", err)
 	}
-	if err := CanReplicate(ml, nil); err == nil {
+	if err := CanReplicate(pearlAt(ml, pair, nil)); err == nil {
 		t.Error("ML config without a model artifact must not replicate (controller construction fails)")
 	}
-	if err := CanReplicate(ml, unsafe); err == nil {
+	if err := CanReplicate(pearlAt(ml, pair, unsafe)); err == nil {
 		t.Error("controller declaring ReplicaSafe=false must not replicate")
 	}
-	if err := CanReplicate(ml, safe); err != nil {
+	if err := CanReplicate(pearlAt(ml, pair, safe)); err != nil {
 		t.Errorf("replica-safe controller rejected: %v", err)
+	}
+	if err := CanReplicate(cmeshAt(4, pair)); err != nil {
+		t.Errorf("CMESH always replicates: %v", err)
 	}
 	// The replica-safe controller must drive a real replicated ML run end
 	// to end.
 	opts := tiny()
 	opts.MeasureCycles = 2000
-	if _, err := RunPEARLReplicated(ml, traffic.TestPairs()[0], opts, 2, safe); err != nil {
+	if _, err := Run(context.Background(), pearlAt(ml, pair, safe), opts, []uint64{1, 2}); err != nil {
 		t.Errorf("replicated ML run with safe controller: %v", err)
 	}
 }

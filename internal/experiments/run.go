@@ -10,12 +10,14 @@ package experiments
 
 import (
 	"context"
+	"errors"
 	"fmt"
 
 	"repro/internal/cmesh"
 	"repro/internal/config"
 	"repro/internal/controller"
 	"repro/internal/core"
+	"repro/internal/noc"
 	"repro/internal/photonic"
 	"repro/internal/power"
 	"repro/internal/sim"
@@ -104,250 +106,231 @@ type Result struct {
 // ThroughputBitsPerCycle is the headline throughput metric.
 func (r Result) ThroughputBitsPerCycle() float64 { return r.Metrics.ThroughputBitsPerCycle() }
 
-// runCtxChunk is how many cycles execute between context checks in the
-// context-aware entry points: small enough that cancellation lands well
-// inside a client poll interval, large enough to stay off the hot path.
-const runCtxChunk = 1024
+// Backends a Point can name.
+const (
+	BackendPEARL = "pearl"
+	BackendCMESH = "cmesh"
+)
 
-// runCycles drives the engine for n cycles in bounded chunks, checking
-// ctx between chunks so a cancelled or timed-out run stops within
-// ~runCtxChunk cycles instead of completing the whole window.
-func runCycles(ctx context.Context, engine *sim.Engine, n int64) error {
-	for remaining := n; remaining > 0; {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		step := int64(runCtxChunk)
-		if step > remaining {
-			step = remaining
-		}
-		engine.Run(step)
-		remaining -= step
+// Point is one (configuration, workload pair) evaluation: the unit Run
+// simulates, a figure sweep expands into, pearld schedules as a job and
+// `pearlbench -sweep` exports as a cache-warming artifact.
+type Point struct {
+	// Label is the row label a figure prints for the point; it may carry
+	// more than the configuration name (Fig. 11 adds the turn-on time).
+	Label string
+	// Backend is BackendPEARL (photonic) or BackendCMESH (electrical
+	// baseline).
+	Backend string
+	// Config fully describes the network build.
+	Config config.Config
+	// LinkScale narrows CMESH links for bandwidth-matched baselines;
+	// values below 1 mean full bandwidth. The pearl backend ignores it.
+	LinkScale int
+	// Pair is the CPU+GPU benchmark pair driving the run.
+	Pair traffic.Pair
+	// Controller drives the point's wavelength-state policy. nil means
+	// the config's registered controller with no model artifact, so
+	// model-needing points must be filled by the caller (pearld resolves
+	// its registry; pearlbench loads -model files) or they fail at run
+	// time.
+	Controller controller.Controller
+}
+
+// canonical is the one place a point's identity is resolved: its
+// canonical configuration name (the name results report, replica seed
+// fans fold in and pearld's job status shows) and its effective CMESH
+// link scale, with scales below 1 meaning full bandwidth.
+func (p Point) canonical() (name string, linkScale int) {
+	if p.Backend != BackendCMESH {
+		return p.Config.Name(), 1
 	}
-	// All n cycles completed: the result is fully computed, so a
-	// cancellation that lands between the final chunk and this return
-	// must not discard it.
-	return nil
+	if p.LinkScale > 1 {
+		return fmt.Sprintf("CMESH(1/%d bw)", p.LinkScale), p.LinkScale
+	}
+	return "CMESH", 1
+}
+
+// Name is the point's canonical configuration name: the paper's label
+// for photonic points, CMESH with its bandwidth fraction for electrical
+// ones.
+func (p Point) Name() string {
+	name, _ := p.canonical()
+	return name
+}
+
+// CMESHName is the canonical name of a CMESH point at linkScale.
+func CMESHName(linkScale int) string {
+	return Point{Backend: BackendCMESH, LinkScale: linkScale}.Name()
+}
+
+// pearlAt and cmeshAt are shorthand for the points the figure suite
+// evaluates; ctrl may be nil (see Point.Controller).
+func pearlAt(cfg config.Config, pair traffic.Pair, ctrl controller.Controller) Point {
+	return Point{Label: cfg.Name(), Backend: BackendPEARL, Config: cfg, LinkScale: 1, Pair: pair, Controller: ctrl}
+}
+
+func cmeshAt(linkScale int, pair traffic.Pair) Point {
+	p := Point{Backend: BackendCMESH, Config: config.Default(), LinkScale: linkScale, Pair: pair}
+	p.Label = p.Name()
+	return p
+}
+
+// Run simulates one point once per seed and returns the Results in seed
+// order; nil seeds means {opts.Seed}. seeds[i] becomes that run's
+// Options.Seed verbatim (callers wanting the standard fan pass
+// ReplicaSeeds), and results[i] is bit-identical to Run over seeds[i]
+// alone.
+//
+// When the point may replicate (see CanReplicate) every seed's stack
+// steps in one lockstep engine spread across cores; otherwise each seed
+// runs as its own one-replica lockstep, in order. opts.OnWindow and
+// opts.OnWindowSample observe seeds[0] only, from a worker goroutine.
+// The run checks ctx between cycle chunks and returns the context error
+// once it is done, unless every cycle had already run.
+func Run(ctx context.Context, p Point, opts Options, seeds []uint64) ([]Result, error) {
+	if seeds == nil {
+		seeds = []uint64{opts.Seed}
+	}
+	if len(seeds) == 0 {
+		return nil, errors.New("experiments: Run needs at least one seed")
+	}
+	if CanReplicate(p) == nil {
+		return runLockstep(ctx, p, opts, seeds)
+	}
+	results := make([]Result, len(seeds))
+	for i, seed := range seeds {
+		one, err := runLockstep(ctx, p, opts, []uint64{seed})
+		if err != nil {
+			return nil, err
+		}
+		results[i] = one[0]
+		opts.OnWindow, opts.OnWindowSample = nil, nil
+	}
+	return results, nil
+}
+
+// network is what buildReplica wires on either backend's network.
+type network interface {
+	sim.Component
+	traffic.Target
+	windowSource
+	SetAccount(*power.Account)
+	SetDeliveryHandler(func(p *noc.Packet, cycle int64))
+	StartMeasurement()
+	StopMeasurement(measuredCycles int64)
 }
 
 // replica is one fully constructed simulation stack — engine, network,
 // workload, power account and optional window sampler — ready to run.
-// Both the single-run entry points and the lockstep replicated runner
-// build their stacks through the same replica builders, so the two
-// paths cannot drift: a replica stepped alone IS a single run.
 type replica struct {
-	engine       *sim.Engine
-	startMeasure func()
-	stopMeasure  func(measured int64)
-	finalize     func() Result
+	name    string
+	pair    traffic.Pair
+	engine  *sim.Engine
+	net     network
+	w       *traffic.Workload
+	acct    *power.Account
+	sampler *windowSampler
+	// stalls reads the laser stabilisation stall count (photonic only).
+	stalls func() uint64
 }
 
-// buildPEARLReplica constructs one photonic simulation stack. opts.Seed
-// is used as-is (the replicated runner substitutes derived per-replica
-// seeds before calling); tab, when non-nil, shares an exp(-rate) memo
-// with other replicas on the same goroutine. ctrl may be nil, in which
-// case the configuration's registered controller is built with no model
-// artifact (model-needing policies then fail construction here, before
-// any simulation state exists).
-func buildPEARLReplica(cfg config.Config, pair traffic.Pair, opts Options, ctrl controller.Controller, tab *traffic.ExpTable) (replica, error) {
-	engine := sim.NewEngine()
-	net, err := core.New(engine, cfg)
-	if err != nil {
-		return replica{}, err
-	}
-	if ctrl == nil {
-		ctrl, err = controller.New(cfg, nil)
+// buildReplica constructs one simulation stack for p at opts.Seed. tab,
+// when non-nil, shares an exp(-rate) memo with other replicas on the
+// same goroutine. A pearl point's Controller must be set (newLockstep
+// resolves nil to the config's registered controller).
+func buildReplica(p Point, opts Options, tab *traffic.ExpTable) (replica, error) {
+	name, linkScale := p.canonical()
+	wseed := runSeed(opts.Seed, p.Pair.Name())
+	r := replica{name: name, pair: p.Pair, engine: sim.NewEngine(), stalls: func() uint64 { return 0 }}
+	switch p.Backend {
+	case BackendPEARL:
+		net, err := core.New(r.engine, p.Config)
 		if err != nil {
 			return replica{}, err
 		}
+		pol, err := p.Controller.Policy(wseed)
+		if err != nil {
+			return replica{}, err
+		}
+		net.SetStatePolicy(pol)
+		if opts.OnWindowSample != nil {
+			sample := opts.OnWindowSample
+			net.SetWindowHook(func(routerID int, feats []float64, injected int64, _ float64, _ photonic.WLState) {
+				sample(routerID, feats, injected)
+			})
+		}
+		r.net = net
+		r.stalls = func() uint64 { return net.AuxCounters().TurnOnStalls }
+	case BackendCMESH:
+		net, err := cmesh.New(r.engine, p.Config)
+		if err != nil {
+			return replica{}, err
+		}
+		net.SetLinkScale(linkScale)
+		r.net = net
+	default:
+		return replica{}, fmt.Errorf("experiments: unknown backend %q (want %q or %q)", p.Backend, BackendPEARL, BackendCMESH)
 	}
-	wseed := runSeed(opts.Seed, cfg.Name(), pair.Name())
-	pol, err := ctrl.Policy(wseed)
+	r.acct = power.NewAccount(config.NetworkFrequencyHz)
+	r.net.SetAccount(r.acct)
+	w, err := traffic.NewWorkloadWithExpTable(r.engine, r.net, p.Pair, wseed, tab)
 	if err != nil {
 		return replica{}, err
 	}
-	net.SetStatePolicy(pol)
-	if opts.OnWindowSample != nil {
-		sample := opts.OnWindowSample
-		net.SetWindowHook(func(routerID int, feats []float64, injected int64, _ float64, _ photonic.WLState) {
-			sample(routerID, feats, injected)
-		})
-	}
-	acct := power.NewAccount(config.NetworkFrequencyHz)
-	net.SetAccount(acct)
-	w, err := traffic.NewWorkloadWithExpTable(engine, net, pair, wseed, tab)
-	if err != nil {
-		return replica{}, err
-	}
-	var sampler *windowSampler
-	if opts.OnWindow != nil {
-		sampler = newWindowSampler(opts.OnWindow, net, acct,
-			int64(cfg.ReservationWindow), config.NetworkFrequencyHz)
-		net.SetDeliveryHandler(sampler.wrapDeliver(w.OnDeliver))
-	} else {
-		net.SetDeliveryHandler(w.OnDeliver)
-	}
-	engine.Register(w)
-	engine.Register(net)
-	if sampler != nil {
-		// After the network: the sampler reads each cycle's settled state.
-		engine.Register(sampler)
-	}
-	return replica{
-		engine: engine,
-		startMeasure: func() {
-			net.StartMeasurement()
-			w.StartMeasurement()
-			if sampler != nil {
-				sampler.start(engine.Cycle())
-			}
-		},
-		stopMeasure: func(measured int64) {
-			net.StopMeasurement(measured)
-			w.StopMeasurement()
-			if sampler != nil {
-				sampler.finish(engine.Cycle())
-			}
-		},
-		finalize: func() Result {
-			return Result{
-				Name:             cfg.Name(),
-				Pair:             pair,
-				Metrics:          net.Metrics(),
-				Account:          acct,
-				InjectedCPUShare: w.Injected.Share(0),
-				Retired:          w.Retired,
-				TurnOnStalls:     net.AuxCounters().TurnOnStalls,
-			}
-		},
-	}, nil
-}
-
-// RunPEARL simulates one photonic configuration on one benchmark pair.
-// ctrl may be nil for any configuration whose registered controller
-// needs no model artifact; model-needing configurations must pass a
-// controller built via controller.New with their artifact.
-func RunPEARL(cfg config.Config, pair traffic.Pair, opts Options, ctrl controller.Controller) (Result, error) {
-	return RunPEARLCtx(context.Background(), cfg, pair, opts, ctrl)
-}
-
-// RunPEARLCtx is RunPEARL with cooperative cancellation: the simulation
-// aborts between cycle chunks once ctx is cancelled or its deadline
-// passes, returning the context error. This is the entry point pearld's
-// worker pool uses for in-flight job cancellation.
-func RunPEARLCtx(ctx context.Context, cfg config.Config, pair traffic.Pair, opts Options, ctrl controller.Controller) (Result, error) {
-	r, err := buildPEARLReplica(cfg, pair, opts, ctrl, nil)
-	if err != nil {
-		return Result{}, err
-	}
-	return runReplica(ctx, r, opts)
-}
-
-// runReplica drives one built stack through warmup and measurement.
-func runReplica(ctx context.Context, r replica, opts Options) (Result, error) {
-	if err := runCycles(ctx, r.engine, opts.WarmupCycles); err != nil {
-		return Result{}, err
-	}
-	r.startMeasure()
-	if err := runCycles(ctx, r.engine, opts.MeasureCycles); err != nil {
-		return Result{}, err
-	}
-	r.stopMeasure(opts.MeasureCycles)
-	return r.finalize(), nil
-}
-
-// buildCMESHReplica constructs one electrical-baseline stack (see
-// buildPEARLReplica for the seed and exp-table conventions).
-func buildCMESHReplica(cfg config.Config, pair traffic.Pair, opts Options, linkScale int, tab *traffic.ExpTable) (replica, error) {
-	engine := sim.NewEngine()
-	net, err := cmesh.New(engine, cfg)
-	if err != nil {
-		return replica{}, err
-	}
-	net.SetLinkScale(linkScale)
-	acct := power.NewAccount(config.NetworkFrequencyHz)
-	net.SetAccount(acct)
-	name := CMESHName(linkScale)
-	w, err := traffic.NewWorkloadWithExpTable(engine, net, pair, runSeed(opts.Seed, name, pair.Name()), tab)
-	if err != nil {
-		return replica{}, err
-	}
-	var sampler *windowSampler
+	r.w = w
 	if opts.OnWindow != nil {
 		// The electrical mesh has no reservation windows of its own; the
-		// configured window length just sets the sampling cadence so both
+		// configured window length just sets its sampling cadence so both
 		// backends stream comparable frames.
-		sampler = newWindowSampler(opts.OnWindow, net, acct,
-			int64(cfg.ReservationWindow), config.NetworkFrequencyHz)
-		net.SetDeliveryHandler(sampler.wrapDeliver(w.OnDeliver))
+		r.sampler = newWindowSampler(opts.OnWindow, r.net, r.acct,
+			int64(p.Config.ReservationWindow), config.NetworkFrequencyHz)
+		r.net.SetDeliveryHandler(r.sampler.wrapDeliver(w.OnDeliver))
 	} else {
-		net.SetDeliveryHandler(w.OnDeliver)
+		r.net.SetDeliveryHandler(w.OnDeliver)
 	}
-	engine.Register(w)
-	engine.Register(net)
-	if sampler != nil {
-		engine.Register(sampler)
+	r.engine.Register(w)
+	r.engine.Register(r.net)
+	if r.sampler != nil {
+		// After the network: the sampler reads each cycle's settled state.
+		r.engine.Register(r.sampler)
 	}
-	return replica{
-		engine: engine,
-		startMeasure: func() {
-			net.StartMeasurement()
-			w.StartMeasurement()
-			if sampler != nil {
-				sampler.start(engine.Cycle())
-			}
-		},
-		stopMeasure: func(measured int64) {
-			net.StopMeasurement(measured)
-			w.StopMeasurement()
-			if sampler != nil {
-				sampler.finish(engine.Cycle())
-			}
-		},
-		finalize: func() Result {
-			return Result{
-				Name:             name,
-				Pair:             pair,
-				Metrics:          net.Metrics(),
-				Account:          acct,
-				InjectedCPUShare: w.Injected.Share(0),
-				Retired:          w.Retired,
-			}
-		},
-	}, nil
+	return r, nil
 }
 
-// CMESHName is the configuration label CMESH runs report (and the name
-// folded into their workload seed derivation).
-func CMESHName(linkScale int) string {
-	if linkScale > 1 {
-		return fmt.Sprintf("CMESH(1/%d bw)", linkScale)
+func (r *replica) startMeasure() {
+	r.net.StartMeasurement()
+	r.w.StartMeasurement()
+	if r.sampler != nil {
+		r.sampler.start(r.engine.Cycle())
 	}
-	return "CMESH"
 }
 
-// RunCMESH simulates the electrical baseline on one benchmark pair.
-// linkScale narrows links for the Figure 5 bandwidth-matched points
-// (1 = 64WL-equivalent bisection).
-func RunCMESH(cfg config.Config, pair traffic.Pair, opts Options, linkScale int) (Result, error) {
-	return RunCMESHCtx(context.Background(), cfg, pair, opts, linkScale)
-}
-
-// RunCMESHCtx is RunCMESH with cooperative cancellation (see RunPEARLCtx).
-func RunCMESHCtx(ctx context.Context, cfg config.Config, pair traffic.Pair, opts Options, linkScale int) (Result, error) {
-	r, err := buildCMESHReplica(cfg, pair, opts, linkScale, nil)
-	if err != nil {
-		return Result{}, err
+func (r *replica) stopMeasure(measured int64) {
+	r.net.StopMeasurement(measured)
+	r.w.StopMeasurement()
+	if r.sampler != nil {
+		r.sampler.finish(r.engine.Cycle())
 	}
-	return runReplica(ctx, r, opts)
 }
 
-// runSeed derives a deterministic per-run seed from the experiment seed,
-// configuration and pair so every configuration sees the same workload
-// randomness for a given pair (paired comparison), while different pairs
-// differ. The configuration name is intentionally excluded from workload
-// seeding: identical pair -> identical demand sequence.
-func runSeed(seed uint64, _ string, pairName string) uint64 {
+func (r *replica) result() Result {
+	return Result{
+		Name:             r.name,
+		Pair:             r.pair,
+		Metrics:          r.net.Metrics(),
+		Account:          r.acct,
+		InjectedCPUShare: r.w.Injected.Share(0),
+		Retired:          r.w.Retired,
+		TurnOnStalls:     r.stalls(),
+	}
+}
+
+// runSeed derives a deterministic per-run workload seed from the
+// experiment seed and the pair alone, so every configuration sees the
+// same workload randomness for a given pair (paired comparison), while
+// different pairs differ: identical pair -> identical demand sequence.
+func runSeed(seed uint64, pairName string) uint64 {
 	h := seed
 	for _, b := range []byte(pairName) {
 		h = h*1099511628211 + uint64(b) // FNV-style fold
@@ -363,3 +346,12 @@ func newAccount() *power.Account { return power.NewAccount(config.NetworkFrequen
 
 // newAblationRNG derives a deterministic stream for ablation policies.
 func newAblationRNG(seed uint64) *sim.RNG { return sim.NewRNG(seed ^ 0xab1a) }
+
+// runOne runs p once at opts.Seed: the figure suite's one-seed Run.
+func runOne(p Point, opts Options) (Result, error) {
+	results, err := Run(context.Background(), p, opts, nil)
+	if err != nil {
+		return Result{}, err
+	}
+	return results[0], nil
+}

@@ -54,7 +54,7 @@ func collectOne(ds *mlkit.Dataset, pair traffic.Pair, window int, opts Options, 
 		return err
 	}
 	net.SetStatePolicy(policy)
-	w, err := traffic.NewWorkload(engine, net, pair, runSeed(seed, "", pair.Name()))
+	w, err := traffic.NewWorkload(engine, net, pair, runSeed(seed, pair.Name()))
 	if err != nil {
 		return err
 	}

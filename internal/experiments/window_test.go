@@ -17,7 +17,7 @@ func collectWindows(t *testing.T, opts Options) ([]WindowStats, Result) {
 	t.Helper()
 	var wins []WindowStats
 	opts.OnWindow = func(ws WindowStats) { wins = append(wins, ws) }
-	res, err := RunPEARL(config.PEARLDyn(), traffic.TestPairs()[0], opts, nil)
+	res, err := runOne(pearlAt(config.PEARLDyn(), traffic.TestPairs()[0], nil), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +83,7 @@ func TestWindowSamplesTileTheMeasurement(t *testing.T) {
 // identical sample sequences.
 func TestOnWindowIsPureObservation(t *testing.T) {
 	opts := tiny()
-	bare, err := RunPEARL(config.PEARLDyn(), traffic.TestPairs()[0], opts, nil)
+	bare, err := runOne(pearlAt(config.PEARLDyn(), traffic.TestPairs()[0], nil), opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -42,8 +42,8 @@ import (
 
 // Backend names accepted by JobRequest.Backend.
 const (
-	BackendPEARL = "pearl"
-	BackendCMESH = "cmesh"
+	BackendPEARL = experiments.BackendPEARL
+	BackendCMESH = experiments.BackendCMESH
 )
 
 // WorkloadSpec names the benchmark pair driving the run.
@@ -76,8 +76,9 @@ type JobRequest struct {
 	// lengths when positive.
 	WarmupCycles  int64 `json:"warmup_cycles,omitempty"`
 	MeasureCycles int64 `json:"measure_cycles,omitempty"`
-	// LinkScale narrows CMESH links (bandwidth-matched baselines);
-	// ignored for the pearl backend.
+	// LinkScale narrows CMESH links to 1/LinkScale of full bandwidth
+	// (bandwidth-matched baselines), 1..16; 0 means 1. Ignored for the
+	// pearl backend.
 	LinkScale int `json:"link_scale,omitempty"`
 	// Model references the hosted trained model serving a PowerML
 	// configuration: a registry name or an artifact content hash.
@@ -124,10 +125,13 @@ type jobSpec struct {
 	canarySample func(routerID int, feats []float64, injected int64)
 }
 
-// options bounds for externally supplied run lengths.
+// Server bounds for externally supplied run lengths and link narrowing.
+// maxLinkScale is 4x narrower than the paper's narrowest matched
+// baseline (1/4 bandwidth); CMESH still delivers packets there.
 const (
 	maxMeasureCycles = 5_000_000
 	maxWarmupCycles  = 1_000_000
+	maxLinkScale     = 16
 )
 
 // validateCycleOverrides rejects externally supplied run lengths the
@@ -281,7 +285,10 @@ func (s jobSpec) finalize(defaultTimeout time.Duration, reg *models.Registry) (j
 	if s.seed == 0 {
 		s.seed = 2018
 	}
-	if s.linkScale <= 0 {
+	if s.linkScale < 0 || s.linkScale > maxLinkScale {
+		return jobSpec{}, fmt.Errorf("link_scale %d outside 0..%d (0 means full bandwidth, 1)", s.linkScale, maxLinkScale)
+	}
+	if s.linkScale == 0 {
 		s.linkScale = 1
 	}
 	if s.timeout <= 0 {
@@ -318,17 +325,10 @@ func (s jobSpec) cacheKey() string {
 	return hex.EncodeToString(h.Sum(nil)[:16])
 }
 
-// label is the figure-style row label for the spec: the paper's
-// configuration name for photonic points, CMESH (with its bandwidth
-// scale) for electrical ones — matching experiments.Point labels.
-func (s jobSpec) label() string {
-	if s.backend == BackendCMESH {
-		if s.linkScale > 1 {
-			return fmt.Sprintf("CMESH(1/%d bw)", s.linkScale)
-		}
-		return "CMESH"
-	}
-	return s.cfg.Name()
+// point is the experiments point the spec simulates; its Name is the
+// spec's figure-style row label and status label.
+func (s jobSpec) point() experiments.Point {
+	return experiments.Point{Backend: s.backend, Config: s.cfg, LinkScale: s.linkScale, Pair: s.pair, Controller: s.ctrl}
 }
 
 // options converts the spec to an experiments option set.

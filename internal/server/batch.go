@@ -469,7 +469,7 @@ func (s *Server) handleSubmitBatch(w http.ResponseWriter, r *http.Request) {
 		// non-replicable specs (ML without a replica-safe predictor)
 		// degrade gracefully to N independent sequential points.
 		var group *replicaGroup
-		if seeds > 1 && spec.canReplicate() == nil {
+		if seeds > 1 && experiments.CanReplicate(spec.point()) == nil {
 			group = newReplicaGroup(spec)
 		}
 		for i := 0; i < seeds; i++ {

@@ -282,7 +282,7 @@ func (j *Job) Status() JobStatus {
 		State:       string(j.state),
 		Tenant:      j.tenant,
 		Backend:     j.spec.backend,
-		Config:      j.spec.label(),
+		Config:      j.spec.point().Name(),
 		Pair:        j.spec.pair.Name(),
 		Model:       j.spec.cfg.ModelRef,
 		CacheKey:    j.key,

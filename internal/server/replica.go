@@ -1,11 +1,8 @@
 package server
 
 import (
-	"context"
-	"errors"
 	"fmt"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/experiments"
 )
@@ -43,34 +40,13 @@ func (j *Job) shardKey() string {
 	return j.key
 }
 
-// canReplicate reports whether the spec's backend/policy combination
-// supports lockstep replication (see experiments.CanReplicate).
-func (s jobSpec) canReplicate() error {
-	if s.backend == BackendCMESH {
-		return nil
-	}
-	return experiments.CanReplicate(s.cfg, s.ctrl)
-}
-
-// runReplicated executes one lockstep run over the given seeds,
-// mirroring jobSpec.run for the replicated entry points. Results come
-// back in seed order.
-func (s jobSpec) runReplicated(ctx context.Context, seeds []uint64, onWindow func(experiments.WindowStats)) ([]experiments.Result, error) {
-	opts := s.options()
-	opts.OnWindow = onWindow
-	if s.backend == BackendCMESH {
-		return experiments.RunCMESHReplicatedSeeds(ctx, s.cfg, s.pair, opts, seeds, s.linkScale)
-	}
-	return experiments.RunPEARLReplicatedSeeds(ctx, s.cfg, s.pair, opts, seeds, s.ctrl)
-}
-
 // replicaSeed derives the base seed of the i-th member of a seeds:N
 // point (see experiments.ReplicaSeed for the schema and its cache-key
 // consequence: a derived seed is a first-class seed, so a member's
 // cache entry is exactly the one a standalone run of that seed would
 // produce).
 func (s jobSpec) replicaSeed(i int) uint64 {
-	return experiments.ReplicaSeed(s.seed, s.label(), s.pair.Name(), i)
+	return experiments.ReplicaSeed(s.seed, s.point().Name(), s.pair.Name(), i)
 }
 
 // coalesceReplicaGroups rewrites a deferred job list so that members of
@@ -137,95 +113,4 @@ func (s *Server) armCarrier(carrier *Job) {
 			}
 		}
 	})
-}
-
-// runReplicatedJob drives one carrier from claimed to terminal: a
-// single lockstep simulation whose per-seed results settle every live
-// member (and publish every member's per-seed cache entry). Members
-// cancelled before the run starts are skipped; members cancelled
-// mid-run still get their result cached — the simulation ran — but
-// finish cancelled.
-func (s *Server) runReplicatedJob(carrier *Job) {
-	if !carrier.markRunning() {
-		return
-	}
-	s.metrics.jobStarted()
-	defer s.metrics.workerIdle()
-
-	var live []*Job
-	for _, m := range carrier.crew {
-		if m.markRunning() {
-			live = append(live, m)
-		}
-	}
-	if len(live) == 0 {
-		carrier.finish(StateCancelled, nil, errors.New("every replica member settled before the run started"))
-		return
-	}
-	seeds := make([]uint64, len(live))
-	for i, m := range live {
-		seeds[i] = m.spec.seed
-	}
-
-	spec := carrier.spec
-	ctx := carrier.ctx
-	timeout := spec.timeout * time.Duration(len(live))
-	if spec.timeout > 0 {
-		// The carrier simulates len(live) seeds' worth of cycles, so its
-		// wall-clock budget scales with the crew.
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, timeout)
-		defer cancel()
-	}
-	start := time.Now()
-	results, err := spec.runReplicated(ctx, seeds,
-		func(ws experiments.WindowStats) { s.emitWindow(live[0], ws) })
-	elapsed := time.Since(start)
-
-	switch {
-	case err == nil:
-		perSeed := elapsed / time.Duration(len(live))
-		cycles := uint64(spec.warmup) + uint64(spec.measure)
-		for i, m := range live {
-			payload := newJobResult(results[i])
-			// Publish BEFORE finishing, mirroring runJob's exactly-once
-			// invariant: a duplicate admitted after the flight entry drops
-			// must find the result in the cache.
-			s.store(m.key, payload)
-			if m.ctx.Err() != nil {
-				if m.finish(StateCancelled, nil, errors.New("cancelled while running")) {
-					s.metrics.jobCancelled(m.tenant)
-				}
-				continue
-			}
-			if m.finish(StateDone, payload, nil) {
-				s.metrics.jobCompleted(m.tenant, perSeed, cycles)
-				s.metrics.controllerRun(m.tenant, spec.ctrlName, payload.StateResidency, spec.measure)
-			}
-		}
-		carrier.finish(StateDone, nil, nil)
-		s.metrics.replicaGroupDone(len(live))
-	case errors.Is(err, context.Canceled):
-		for _, m := range live {
-			if m.finish(StateCancelled, nil, errors.New("cancelled while running")) {
-				s.metrics.jobCancelled(m.tenant)
-			}
-		}
-		carrier.finish(StateCancelled, nil, errors.New("cancelled while running"))
-	case errors.Is(err, context.DeadlineExceeded):
-		terr := fmt.Errorf("timed out after %v", timeout)
-		for _, m := range live {
-			if m.finish(StateFailed, nil, terr) {
-				s.metrics.jobFailed(m.tenant)
-			}
-		}
-		carrier.finish(StateFailed, nil, terr)
-	default:
-		for _, m := range live {
-			if m.finish(StateFailed, nil, err) {
-				s.metrics.jobFailed(m.tenant)
-			}
-		}
-		carrier.finish(StateFailed, nil, err)
-	}
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"strings"
 	"testing"
 	"time"
 
@@ -194,7 +195,7 @@ func TestBatchSeedsValidation(t *testing.T) {
 }
 
 func TestBatchSeedsCancelledMidRunPublishesNothing(t *testing.T) {
-	// Pins runReplicatedJob's context.Canceled branch: a lockstep run
+	// Pins runJob's context.Canceled branch for a carrier: a lockstep run
 	// aborted mid-chunk must NOT publish per-seed cache entries (the
 	// simulation never finished, so there is no result to address), and
 	// every member must settle cancelled exactly once in the metrics —
@@ -236,6 +237,41 @@ func TestBatchSeedsCancelledMidRunPublishesNothing(t *testing.T) {
 	if m.JobsCompleted != 0 || m.ReplicaGroupsExecuted != 0 || m.ReplicaSeedsSimulated != 0 {
 		t.Fatalf("aborted run leaked success metrics: completed=%d groups=%d seeds=%d",
 			m.JobsCompleted, m.ReplicaGroupsExecuted, m.ReplicaSeedsSimulated)
+	}
+}
+
+// TestBatchSeedsCarrierTimeout pins runJob's timeout branch for a
+// carrier: a seeds:3 point whose lockstep run outlives its budget —
+// timeout_ms times the live members — fails every member with the
+// timeout error, counts each failure exactly once, and publishes no
+// per-seed cache entry.
+func TestBatchSeedsCarrierTimeout(t *testing.T) {
+	_, ts := newTestServer(t, Options{Workers: 1})
+	before := snapshotMetrics(t, ts)
+	long := `{"workloads":[{"cpu":"fmm","gpu":"DCT"}],"warmup_cycles":200,"measure_cycles":5000000,"seeds":3,"timeout_ms":50}`
+	code, st := postBatch(t, ts, long)
+	if code != http.StatusAccepted {
+		t.Fatalf("submit: HTTP %d, want 202", code)
+	}
+	done := pollBatch(t, ts, st.ID, func(b BatchStatus) bool { return b.State == "failed" }, 30*time.Second)
+	if done.Failed != 3 || len(done.Points) != 3 {
+		t.Fatalf("failed members %d/3 (%d points): %+v", done.Failed, len(done.Points), done)
+	}
+	for _, p := range done.Points {
+		// 150ms: the carrier's budget is 50ms x 3 live members.
+		if p.State != string(StateFailed) || !strings.Contains(p.Error, "timed out after 150ms") {
+			t.Errorf("member %s: state %s error %q, want failed with \"timed out after 150ms\"", p.ID, p.State, p.Error)
+		}
+	}
+	m := snapshotMetrics(t, ts)
+	if got := m.JobsFailed - before.JobsFailed; got != 3 {
+		t.Fatalf("jobs_failed rose by %d, want 3 (once per member)", got)
+	}
+	if m.CacheEntries != 0 {
+		t.Fatalf("timed-out run published %d cache entries, want 0", m.CacheEntries)
+	}
+	if m.JobsCompleted != 0 || m.ReplicaGroupsExecuted != 0 {
+		t.Fatalf("timed-out run leaked success metrics: completed=%d groups=%d", m.JobsCompleted, m.ReplicaGroupsExecuted)
 	}
 }
 

@@ -285,6 +285,9 @@ func TestSubmitValidation(t *testing.T) {
 		{"bandwidth policy below range", `{"config":{"Bandwidth":-5},"workload":{"cpu":"fmm","gpu":"DCT"}}`},
 		{"power policy out of range", `{"config":{"Power":99},"workload":{"cpu":"fmm","gpu":"DCT"}}`},
 		{"measure cycles above limit", `{"measure_cycles":99000000,"workload":{"cpu":"fmm","gpu":"DCT"}}`},
+		{"laser turn-on above ceiling", `{"config":{"LaserTurnOnNs":1e300},"workload":{"cpu":"fmm","gpu":"DCT"}}`},
+		{"feature offset above ceiling", `{"config":{"FeatureOffsetCycles":4000000000000},"workload":{"cpu":"fmm","gpu":"DCT"}}`},
+		{"buffer slots above ceiling", `{"config":{"CPUBufferSlots":100000000},"workload":{"cpu":"fmm","gpu":"DCT"}}`},
 	}
 	for _, tc := range cases {
 		if code, _ := postJob(t, ts, tc.body); code != http.StatusBadRequest {
@@ -295,6 +298,49 @@ func TestSubmitValidation(t *testing.T) {
 	getJSON(t, ts.URL+"/metrics", &m)
 	if m.JobsSubmitted != 0 {
 		t.Fatalf("rejected requests counted as submitted: %d", m.JobsSubmitted)
+	}
+}
+
+// TestLinkScaleBounds pins link_scale's closed range on both entry
+// points: negative values and values above the ceiling are a 400 for
+// jobs and batches alike (they used to be clamped to 1, or to run and
+// report nothing delivered), while 0 stays the default of 1 and the
+// ceiling itself runs.
+func TestLinkScaleBounds(t *testing.T) {
+	_, ts := newTestServer(t, Options{Workers: 1})
+	job := func(scale int) string {
+		return fmt.Sprintf(`{"backend":"cmesh","link_scale":%d,"workload":{"cpu":"fmm","gpu":"DCT"},"warmup_cycles":200,"measure_cycles":2000}`, scale)
+	}
+	batch := func(scale int) string {
+		return fmt.Sprintf(`{"backend":"cmesh","link_scale":%d,"workloads":[{"cpu":"fmm","gpu":"DCT"}],"warmup_cycles":200,"measure_cycles":2000}`, scale)
+	}
+	for _, scale := range []int{-1, -4, maxLinkScale + 1, 1000000} {
+		if code, _ := postJob(t, ts, job(scale)); code != http.StatusBadRequest {
+			t.Errorf("job link_scale %d: HTTP %d, want 400", scale, code)
+		}
+		if code, _ := postBatch(t, ts, batch(scale)); code != http.StatusBadRequest {
+			t.Errorf("batch link_scale %d: HTTP %d, want 400", scale, code)
+		}
+	}
+	code, zero := postJob(t, ts, job(0))
+	if code != http.StatusAccepted {
+		t.Fatalf("link_scale 0: HTTP %d, want 202", code)
+	}
+	if _, one := postJob(t, ts, job(1)); one.CacheKey != zero.CacheKey {
+		t.Errorf("link_scale 0 keyed %s, link_scale 1 keyed %s: 0 must mean 1", zero.CacheKey, one.CacheKey)
+	}
+	code, st := postJob(t, ts, job(maxLinkScale))
+	if code != http.StatusAccepted {
+		t.Fatalf("link_scale at ceiling: HTTP %d, want 202", code)
+	}
+	done := pollUntil(t, ts, st.ID, func(s JobStatus) bool { return JobState(s.State).Terminal() }, 30*time.Second)
+	if done.State != string(StateDone) {
+		t.Fatalf("ceiling job %s (error %q)", done.State, done.Error)
+	}
+	var res JobResult
+	getJSON(t, ts.URL+"/v1/jobs/"+st.ID+"/result", &res)
+	if res.DeliveredPackets == 0 {
+		t.Fatalf("link_scale %d delivered nothing", maxLinkScale)
 	}
 }
 

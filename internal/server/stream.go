@@ -129,7 +129,7 @@ func parseLastEventID(r *http.Request) uint64 {
 func (s *Server) emitWindow(job *Job, ws experiments.WindowStats) {
 	s.emitWindowEvent(job, WindowEvent{
 		JobID:       job.ID,
-		Label:       job.spec.label(),
+		Label:       job.spec.point().Name(),
 		Pair:        job.spec.pair.Name(),
 		WindowStats: ws,
 	})

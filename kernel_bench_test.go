@@ -13,7 +13,6 @@ import (
 	"repro/internal/cmesh"
 	"repro/internal/config"
 	"repro/internal/core"
-	"repro/internal/experiments"
 	"repro/internal/sim"
 	"repro/internal/traffic"
 )
@@ -24,7 +23,7 @@ import (
 const kernelWarmupCycles = 2000
 
 // buildPEARLKernel wires the standard PEARL-Dyn stack exactly as
-// experiments.RunPEARL does, minus measurement (the kernel itself is the
+// experiments.Run does, minus measurement (the kernel itself is the
 // subject, not the stats layer). It is shared with the steady-state
 // allocation test in kernel_alloc_test.go.
 func buildPEARLKernel(b testing.TB) *sim.Engine {
@@ -56,44 +55,6 @@ func BenchmarkKernel(b *testing.B) {
 	b.StopTimer()
 	if secs := b.Elapsed().Seconds(); secs > 0 {
 		b.ReportMetric(float64(b.N)/secs, "cycles/sec")
-	}
-}
-
-// benchReplicas and benchReplicaChunk fix the shape of the replicated
-// kernel benchmark: 8 lockstep seeds stepped in 1024-cycle chunks —
-// the same chunk length the context-aware replicated entry points use
-// — with the cross-worker synchronisation at each chunk boundary
-// inside the timed region.
-const (
-	benchReplicas     = 8
-	benchReplicaChunk = 1024
-)
-
-// BenchmarkKernelReplicated times the lockstep replica engine at N=8 on
-// the same PEARL-Dyn stack as BenchmarkKernel. One op is one
-// replica-cycle, so ns/op here versus BenchmarkKernel's ns/op is the
-// aggregate cycles·replicas/sec speedup of replicated over sequential
-// execution — cmd/benchgate derives and gates that ratio in CI
-// (scaled by GOMAXPROCS; a single-core runner can only break even).
-func BenchmarkKernelReplicated(b *testing.B) {
-	cfg := config.PEARLDyn()
-	pair := traffic.TestPairs()[0]
-	opts := experiments.Quick()
-	seeds := experiments.ReplicaSeeds(opts.Seed, cfg.Name(), pair.Name(), benchReplicas)
-	l, err := experiments.NewPEARLLockstep(cfg, pair, opts, seeds, nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer l.Close()
-	l.Run(kernelWarmupCycles)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for done := 0; done < b.N; done += benchReplicas * benchReplicaChunk {
-		l.Run(benchReplicaChunk)
-	}
-	b.StopTimer()
-	if secs := b.Elapsed().Seconds(); secs > 0 {
-		b.ReportMetric(float64(b.N)/secs, "replica_cycles/sec")
 	}
 }
 

@@ -19,6 +19,7 @@
 package pearl
 
 import (
+	"context"
 	"io"
 
 	"repro/internal/cache"
@@ -169,7 +170,7 @@ func NewSuite(opts Options) *Suite { return experiments.NewSuite(opts) }
 // policy; model-needing configurations (PowerML) must go through
 // RunWithModel or NewController instead.
 func Run(cfg Config, pair Pair, opts Options) (Result, error) {
-	return experiments.RunPEARL(cfg, pair, opts, nil)
+	return runOne(experiments.Point{Backend: experiments.BackendPEARL, Config: cfg, Pair: pair}, opts)
 }
 
 // RunWithModel simulates an ML power-scaling configuration by building
@@ -179,7 +180,7 @@ func RunWithModel(cfg Config, pair Pair, opts Options, model *TrainedModel) (Res
 	if err != nil {
 		return Result{}, err
 	}
-	return experiments.RunPEARL(cfg, pair, opts, ctrl)
+	return runOne(experiments.Point{Backend: experiments.BackendPEARL, Config: cfg, Pair: pair, Controller: ctrl}, opts)
 }
 
 // NewController builds the registered wavelength-state controller for a
@@ -194,7 +195,16 @@ func ControllerNames() []string { return controller.Names() }
 // RunCMESH simulates the electrical baseline (linkScale 1 matches the
 // 64-wavelength photonic bisection).
 func RunCMESH(pair Pair, opts Options, linkScale int) (Result, error) {
-	return experiments.RunCMESH(config.Default(), pair, opts, linkScale)
+	return runOne(experiments.Point{Backend: experiments.BackendCMESH, Config: config.Default(), LinkScale: linkScale, Pair: pair}, opts)
+}
+
+// runOne is experiments.Run at opts.Seed alone.
+func runOne(p experiments.Point, opts Options) (Result, error) {
+	results, err := experiments.Run(context.Background(), p, opts, nil)
+	if err != nil {
+		return Result{}, err
+	}
+	return results[0], nil
 }
 
 // Train runs the paper's two-pass data collection and ridge fit for the
