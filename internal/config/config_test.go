@@ -135,6 +135,9 @@ func TestValidateCeilings(t *testing.T) {
 		{"CPU slots 1e8", func(c *Config) { c.CPUBufferSlots = 100000000 }, false},
 		{"GPU slots at ceiling", func(c *Config) { c.GPUBufferSlots = MaxBufferSlots }, true},
 		{"GPU slots above ceiling", func(c *Config) { c.GPUBufferSlots = MaxBufferSlots + 1 }, false},
+		{"reservation window at ceiling", func(c *Config) { c.ReservationWindow = MaxReservationWindow }, true},
+		{"reservation window above ceiling", func(c *Config) { c.ReservationWindow = MaxReservationWindow + 1 }, false},
+		{"reservation window 1e9", func(c *Config) { c.ReservationWindow = 1000000000 }, false},
 	}
 	for _, tc := range cases {
 		c := Default()

@@ -159,6 +159,14 @@ func (p Point) Name() string {
 	return name
 }
 
+// EffectiveLinkScale is the link scale the point runs at: its CMESH
+// link scale clamped to at least 1, and always 1 for photonic points,
+// which have no link scale.
+func (p Point) EffectiveLinkScale() int {
+	_, linkScale := p.canonical()
+	return linkScale
+}
+
 // CMESHName is the canonical name of a CMESH point at linkScale.
 func CMESHName(linkScale int) string {
 	return Point{Backend: BackendCMESH, LinkScale: linkScale}.Name()

@@ -314,14 +314,16 @@ func applyOverrides(cfg *config.Config, overrides map[string]any) error {
 
 // cacheKey is the content address of the spec: any field that changes
 // the simulation's outcome is folded into the digest. Timeout is
-// deliberately excluded — it bounds wall-clock, not results.
+// deliberately excluded — it bounds wall-clock, not results — and the
+// link scale enters as the point runs it, so a photonic job's ignored
+// link_scale does not split its cache entry.
 func (s jobSpec) cacheKey() string {
 	h := sha256.New()
 	fmt.Fprintf(h, "backend=%s\n", s.backend)
 	fmt.Fprintf(h, "config=%s", s.cfg.CanonicalString())
 	fmt.Fprintf(h, "cpu=%s\ngpu=%s\n", s.pair.CPU.Name, s.pair.GPU.Name)
 	fmt.Fprintf(h, "seed=%d\nwarmup=%d\nmeasure=%d\nlink_scale=%d\n",
-		s.seed, s.warmup, s.measure, s.linkScale)
+		s.seed, s.warmup, s.measure, s.point().EffectiveLinkScale())
 	return hex.EncodeToString(h.Sum(nil)[:16])
 }
 

@@ -288,6 +288,7 @@ func TestSubmitValidation(t *testing.T) {
 		{"laser turn-on above ceiling", `{"config":{"LaserTurnOnNs":1e300},"workload":{"cpu":"fmm","gpu":"DCT"}}`},
 		{"feature offset above ceiling", `{"config":{"FeatureOffsetCycles":4000000000000},"workload":{"cpu":"fmm","gpu":"DCT"}}`},
 		{"buffer slots above ceiling", `{"config":{"CPUBufferSlots":100000000},"workload":{"cpu":"fmm","gpu":"DCT"}}`},
+		{"reservation window above ceiling", `{"config":{"ReservationWindow":100001},"workload":{"cpu":"fmm","gpu":"DCT"}}`},
 	}
 	for _, tc := range cases {
 		if code, _ := postJob(t, ts, tc.body); code != http.StatusBadRequest {
@@ -341,6 +342,44 @@ func TestLinkScaleBounds(t *testing.T) {
 	getJSON(t, ts.URL+"/v1/jobs/"+st.ID+"/result", &res)
 	if res.DeliveredPackets == 0 {
 		t.Fatalf("link_scale %d delivered nothing", maxLinkScale)
+	}
+}
+
+// TestPhotonicLinkScaleSharesCacheKey: a photonic point always runs at
+// link scale 1, so PEARL jobs that differ only in link_scale are one
+// cache entry and the later submissions are hits, while CMESH jobs at
+// different link scales stay distinct.
+func TestPhotonicLinkScaleSharesCacheKey(t *testing.T) {
+	_, ts := newTestServer(t, Options{Workers: 1})
+	job := func(backend string, scale int) string {
+		return fmt.Sprintf(`{"backend":%q,"link_scale":%d,"workload":{"cpu":"fmm","gpu":"DCT"},"warmup_cycles":200,"measure_cycles":2000}`, backend, scale)
+	}
+	code, first := postJob(t, ts, job("pearl", 0))
+	if code != http.StatusAccepted {
+		t.Fatalf("first PEARL job: HTTP %d, want 202", code)
+	}
+	done := pollUntil(t, ts, first.ID, func(s JobStatus) bool { return JobState(s.State).Terminal() }, 30*time.Second)
+	if done.State != string(StateDone) {
+		t.Fatalf("first PEARL job %s (error %q)", done.State, done.Error)
+	}
+	for _, scale := range []int{1, 4} {
+		code, st := postJob(t, ts, job("pearl", scale))
+		if st.CacheKey != first.CacheKey {
+			t.Errorf("PEARL link_scale %d keyed %s, link_scale 0 keyed %s", scale, st.CacheKey, first.CacheKey)
+		}
+		if code != http.StatusOK || !st.Cached {
+			t.Errorf("PEARL link_scale %d: HTTP %d cached=%v, want a 200 cache hit", scale, code, st.Cached)
+		}
+	}
+	var m MetricsSnapshot
+	getJSON(t, ts.URL+"/metrics", &m)
+	if m.JobsStarted != 1 {
+		t.Errorf("jobs_started = %d, want 1: the hits must not simulate again", m.JobsStarted)
+	}
+	_, one := postJob(t, ts, job("cmesh", 1))
+	_, four := postJob(t, ts, job("cmesh", 4))
+	if one.CacheKey == four.CacheKey {
+		t.Errorf("CMESH link_scale 1 and 4 share key %s", one.CacheKey)
 	}
 }
 
