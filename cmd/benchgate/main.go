@@ -11,7 +11,9 @@
 // ns/op gates are relative (timing is machine-dependent); allocs/op
 // gates are absolute (allocation counts are deterministic), so the
 // kernel's zero-alloc property cannot erode silently even on a noisy
-// runner.
+// runner. Ratio gates compare two benchmarks from the same input, so
+// they hold on any machine: a gated benchmark missing from the input
+// fails its ratio gate rather than passing unchecked.
 package main
 
 import (
@@ -47,10 +49,19 @@ type speedupGate struct {
 	SingleProcFloor     float64 `json:"single_proc_floor"`
 }
 
+// ratioGate bounds one benchmark's ns/op by MaxRatio times a reference
+// benchmark's ns/op, both taken from the same bench output.
+type ratioGate struct {
+	Benchmark string  `json:"benchmark"`
+	Reference string  `json:"reference"`
+	MaxRatio  float64 `json:"max_ratio"`
+}
+
 // baselineFile is the subset of BENCH_kernel.json the gate reads.
 type baselineFile struct {
 	After          map[string]benchBaseline `json:"after"`
 	ReplicatedGate *speedupGate             `json:"replicated_gate"`
+	RatioGates     []ratioGate              `json:"ratio_gates"`
 }
 
 // sample is one parsed benchmark result line.
@@ -105,7 +116,22 @@ func realMain() int {
 		return fail(err)
 	}
 
-	checked, failed := 0, 0
+	checked, failed := gate(os.Stdout, base, results, *tolerance, *allocSlack)
+	if checked == 0 {
+		return fail(fmt.Errorf("no gated benchmark appeared in the input — is the bench step wired correctly?"))
+	}
+	if failed > 0 {
+		fmt.Printf("benchgate: %d gate(s) failed\n", failed)
+		return 1
+	}
+	fmt.Printf("benchgate: %d benchmark(s) within limits\n", checked)
+	return 0
+}
+
+// gate checks every baseline and gate in base against the parsed bench
+// results, writing one line per check to w. It returns how many gated
+// benchmarks were checked and how many checks failed.
+func gate(w io.Writer, base baselineFile, results map[string][]sample, tolerance, allocSlack float64) (checked, failed int) {
 	for name, b := range base.After {
 		samples, ok := results[name]
 		if !ok {
@@ -113,22 +139,22 @@ func realMain() int {
 		}
 		checked++
 		s := mean(samples)
-		limit := b.NsPerCycle * (1 + *tolerance)
+		limit := b.NsPerCycle * (1 + tolerance)
 		status := "ok"
 		if s.nsPerOp > limit {
 			status = "FAIL"
 			failed++
 		}
-		fmt.Printf("%-24s ns/op %9.0f  baseline %9.0f  limit %9.0f  (%+.1f%%)  %s\n",
+		fmt.Fprintf(w, "%-24s ns/op %9.0f  baseline %9.0f  limit %9.0f  (%+.1f%%)  %s\n",
 			name, s.nsPerOp, b.NsPerCycle, limit, 100*(s.nsPerOp/b.NsPerCycle-1), status)
 		if s.hasAllocs {
-			allocLimit := b.AllocsPerCycle + *allocSlack
+			allocLimit := b.AllocsPerCycle + allocSlack
 			status = "ok"
 			if s.allocsPerOp > allocLimit {
 				status = "FAIL"
 				failed++
 			}
-			fmt.Printf("%-24s allocs/op %6.1f  baseline %6.1f  limit %9.1f  %s\n",
+			fmt.Fprintf(w, "%-24s allocs/op %6.1f  baseline %6.1f  limit %9.1f  %s\n",
 				name, s.allocsPerOp, b.AllocsPerCycle, allocLimit, status)
 		}
 	}
@@ -155,19 +181,28 @@ func realMain() int {
 				status = "FAIL"
 				failed++
 			}
-			fmt.Printf("%-24s %.2fx vs %s (procs=%d, %s >= %.2fx)  %s\n",
+			fmt.Fprintf(w, "%-24s %.2fx vs %s (procs=%d, %s >= %.2fx)  %s\n",
 				g.Benchmark, speedup, g.Reference, s.procs, kind, required, status)
 		}
 	}
-	if checked == 0 {
-		return fail(fmt.Errorf("no gated benchmark appeared in the input — is the bench step wired correctly?"))
+	for _, g := range base.RatioGates {
+		checked++
+		s, haveBench := results[g.Benchmark]
+		r, haveRef := results[g.Reference]
+		if !haveBench || !haveRef {
+			failed++
+			fmt.Fprintf(w, "%-24s ratio gate vs %s: benchmark missing from the input  FAIL\n", g.Benchmark, g.Reference)
+			continue
+		}
+		ratio := mean(s).nsPerOp / mean(r).nsPerOp
+		status := "ok"
+		if ratio > g.MaxRatio {
+			status = "FAIL"
+			failed++
+		}
+		fmt.Fprintf(w, "%-24s %.2fx the ns/op of %s (<= %.2fx)  %s\n", g.Benchmark, ratio, g.Reference, g.MaxRatio, status)
 	}
-	if failed > 0 {
-		fmt.Printf("benchgate: %d gate(s) failed\n", failed)
-		return 1
-	}
-	fmt.Printf("benchgate: %d benchmark(s) within limits\n", checked)
-	return 0
+	return checked, failed
 }
 
 // parseBench extracts (ns/op, allocs/op) samples per benchmark from
